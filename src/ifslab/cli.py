@@ -133,9 +133,7 @@ def cmd_dim(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | None]:
     config = {"t": str(t), "levels": args.levels, "subsystem": args.subsystem, **_common_config(args)}
     rows = []
     for n in _parse_int_list(args.levels):
-        level_dim = pressure.solve_level_dimension(family, n, args.tol)
-        distortion = pressure.distortion_constant(family, n)
-        bracket = pressure.dimension_bracket(family, n, distortion.value, args.tol)
+        level_dim, bracket = pressure.level_report(family, n, args.tol)
         rows.append(
             {
                 "level": n,
@@ -143,7 +141,7 @@ def cmd_dim(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | None]:
                 "residual": level_dim.residual,
                 "bracket_lo": bracket.lower,
                 "bracket_hi": bracket.upper,
-                "C_emp": str(distortion.value),
+                "C_emp": str(bracket.distortion),
                 "gamma2": str(family.gamma_upper),
             }
         )
@@ -324,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", default=None, help="write output to this path instead of stdout")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=1, help="worker hint; execution is deterministic")
+    common.add_argument("--threads", type=int, default=1, help="accepted and echoed in config, but ignored")
     common.add_argument("--tol", type=float, default=1e-12)
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -31,14 +31,13 @@ from typing import Sequence
 from .moebius import (
     IFSInstance,
     Interval,
-    Matrix2,
     MoebiusMap,
     RationalLike,
     as_fraction,
     invariant_interval,
     make_family,
 )
-from .words import chain_sorted, check_level, cylinder, iter_words, lex_successor, map_of_word
+from .words import chain_sorted, check_level, cylinder, iter_word_tree, iter_words, lex_successor, map_of_word
 
 
 class OrderRelation(Enum):
@@ -124,6 +123,7 @@ def verify_lemma4(k: int, t: RationalLike) -> LemmaReport:
     """Every (k+1)-word cylinder strictly precedes every k-word cylinder."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    check_level(k + 1)
     t = as_fraction(t)
     long_cyls = {v: cylinder(v + "3", t) for v in iter_words("12", k + 1)}
     short_cyls = {w: cylinder(w + "3", t) for w in iter_words("12", k)}
@@ -244,6 +244,7 @@ class PairWitness:
 
 def _tilde_prefixes(n: int) -> list[str]:
     """All words over {1,2} of length < n (the v of each subsystem word v3)."""
+    check_level(n)
     return [v for k in range(n) for v in iter_words("12", k)]
 
 
@@ -314,10 +315,10 @@ def find_common_disjoint_parameter(
         raise ValueError("need 0 < t_lo <= t_hi")
     if resolution <= 0:
         raise ValueError("resolution must be positive")
+    prefixes = _tilde_prefixes(n)
     grid = [lo]
     while grid[-1] < hi:
         grid.append(min(grid[-1] + resolution, hi))
-    prefixes = _tilde_prefixes(n)
 
     def violations_at(t: Fraction) -> list[tuple[str, str]]:
         cyls = {v: cylinder(v + "3", t) for v in prefixes}
@@ -358,19 +359,11 @@ class BoxCountEstimate:
 
 
 def _level_cylinders(ifs: IFSInstance, n: int) -> list[Interval]:
-    check_level(n)
-    generators = [f.matrix for f in ifs.maps]
-    out: list[Interval] = []
-
-    def walk(matrix: Matrix2, depth: int) -> None:
-        if depth == n:
-            out.append(MoebiusMap(matrix).image(ifs.interval))
-            return
-        for g in generators:
-            walk(matrix @ g, depth + 1)
-
-    walk(Matrix2.identity(), 0)
-    return out
+    return [
+        MoebiusMap(matrix).image(ifs.interval)
+        for length, _, matrix in iter_word_tree([f.matrix for f in ifs.maps], n)
+        if length == n
+    ]
 
 
 def box_counting(ifs: IFSInstance, levels: Sequence[int]) -> BoxCountEstimate:

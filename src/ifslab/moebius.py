@@ -204,7 +204,8 @@ class MoebiusMap:
         hi_den = m.c * interval.right + m.d
         if lo_den == 0 or hi_den == 0 or (lo_den > 0) != (hi_den > 0):
             raise PoleError(f"pole of {self} inside {interval}")
-        values = (abs(self.derivative(interval.left)), abs(self.derivative(interval.right)))
+        det = abs(m.det())
+        values = (det / lo_den**2, det / hi_den**2)
         return min(values), max(values)
 
     def image(self, interval: Interval) -> Interval:

@@ -23,40 +23,41 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .moebius import IFSInstance, Matrix2, MoebiusMap, RationalLike, as_fraction, make_family
-from .words import SubsystemSpec, SubsystemVariant, build_subsystem, check_level
+from .moebius import IFSInstance, MoebiusMap, RationalLike, as_fraction, make_family
+from .words import SubsystemSpec, SubsystemVariant, build_subsystem, iter_word_tree
 
 
 def _log_fraction(q: Fraction) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
 
 
-def _norm_counter(ifs: IFSInstance, n: int) -> dict[Fraction, int]:
-    """Multiset of exact sup-norms ||f_u'|| over all length-n words u."""
+def _norm_counter(ifs: IFSInstance, n: int, distortion: bool = False) -> tuple[dict[Fraction, int], Fraction]:
+    """One walk of the word tree to depth n.
+
+    Returns the multiset of exact sup-norms ||f_u'|| over the length-n words
+    u and, with ``distortion``, the max of sup|f_u'|/inf|f_u'| over all words
+    of length 1..n (else 1, and only the leaves are bounded).
+    """
     if n < 1:
         raise ValueError("level must be >= 1")
-    check_level(n)
-    generators = [f.matrix for f in ifs.maps]
     interval = ifs.interval
     counter: dict[Fraction, int] = {}
-
-    def walk(matrix: Matrix2, depth: int) -> None:
-        if depth == n:
-            _, sup = MoebiusMap(matrix).derivative_bounds(interval)
-            counter[sup] = counter.get(sup, 0) + 1
-            return
-        for g in generators:
-            walk(matrix @ g, depth + 1)
-
-    walk(Matrix2.identity(), 0)
-    return counter
+    worst = Fraction(1)
+    for length, _, matrix in iter_word_tree([f.matrix for f in ifs.maps], n):
+        if length == n or (distortion and length):
+            inf, sup = MoebiusMap(matrix).derivative_bounds(interval)
+            if distortion:
+                worst = max(worst, sup / inf)
+            if length == n:
+                counter[sup] = counter.get(sup, 0) + 1
+    return counter, worst
 
 
 def partition_sum(ifs: IFSInstance, n: int, s: float) -> float:
     """S_n(s), with exact norms powered and accumulated in error-free summation."""
     if s < 0:
         raise ValueError("exponent must be >= 0")
-    counter = _norm_counter(ifs, n)
+    counter, _ = _norm_counter(ifs, n)
     return math.fsum(count * float(norm) ** s for norm, count in counter.items())
 
 
@@ -89,11 +90,18 @@ def solve_level_dimension(ifs: IFSInstance, n: int, tol: float = 1e-12, max_iter
     The bracket width is shrunk far enough below ``tol`` that the residual
     itself (not just the root) lands under ``tol``.
     """
+    return _solve(ifs, n, tol, max_iter)[0]
+
+
+def _solve(
+    ifs: IFSInstance, n: int, tol: float, max_iter: int, distortion: bool = False
+) -> tuple[LevelDimension, Fraction]:
+    """Bisect S_n(s) = 1 on the norms of one walk; the walk's distortion maximum rides along."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if ifs.gamma_upper >= 1:
         raise ValueError("maps must be strict contractions")
-    counter = _norm_counter(ifs, n)
+    counter, worst = _norm_counter(ifs, n, distortion)
     word_count = sum(counter.values())
     floats = [(float(norm), count) for norm, count in counter.items()]
 
@@ -114,7 +122,7 @@ def solve_level_dimension(ifs: IFSInstance, n: int, tol: float = 1e-12, max_iter
             hi = mid
         iterations += 1
     root = (lo + hi) / 2
-    return LevelDimension(level=n, value=root, residual=abs(sum_at(root) - 1.0), word_count=word_count)
+    return LevelDimension(level=n, value=root, residual=abs(sum_at(root) - 1.0), word_count=word_count), worst
 
 
 @dataclass(frozen=True)
@@ -133,24 +141,7 @@ class DistortionEstimate:
 def distortion_constant(ifs: IFSInstance, depth: int) -> DistortionEstimate:
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    check_level(depth)
-    generators = [f.matrix for f in ifs.maps]
-    interval = ifs.interval
-    best = Fraction(1)
-
-    def walk(matrix: Matrix2, level: int) -> None:
-        nonlocal best
-        if level > 0:
-            inf, sup = MoebiusMap(matrix).derivative_bounds(interval)
-            ratio = sup / inf
-            if ratio > best:
-                best = ratio
-        if level < depth:
-            for g in generators:
-                walk(matrix @ g, level + 1)
-
-    walk(Matrix2.identity(), 0)
-    return DistortionEstimate(depth=depth, value=best)
+    return DistortionEstimate(depth=depth, value=_norm_counter(ifs, depth, distortion=True)[1])
 
 
 @dataclass(frozen=True)
@@ -178,11 +169,20 @@ def dimension_bracket(
 ) -> DimensionBracket:
     """[d_n - log(C)/(n*log(1/gamma2)), d_n]; C defaults to the depth-n empirical constant."""
     if distortion is None:
-        distortion = distortion_constant(ifs, n).value
+        return level_report(ifs, n, tol)[1]
     distortion = as_fraction(distortion)
     if distortion < 1:
         raise ValueError("distortion constant must be >= 1")
-    d_n = solve_level_dimension(ifs, n, tol).value
+    return _bracket(ifs, n, solve_level_dimension(ifs, n, tol).value, distortion)
+
+
+def level_report(ifs: IFSInstance, n: int, tol: float = 1e-12) -> tuple[LevelDimension, DimensionBracket]:
+    """d_n and its bracket with the depth-n empirical C, from one walk of the word tree."""
+    level, distortion = _solve(ifs, n, tol, 200, distortion=True)
+    return level, _bracket(ifs, n, level.value, distortion)
+
+
+def _bracket(ifs: IFSInstance, n: int, d_n: float, distortion: Fraction) -> DimensionBracket:
     correction = _log_fraction(distortion) / (n * -_log_fraction(ifs.gamma_upper))
     return DimensionBracket(
         level=n,
@@ -234,7 +234,7 @@ def subsystem_dimension_report(
     epsilon_proxy = abs(d_level.value - d_doubled.value)
 
     sub = build_subsystem(SubsystemSpec(t, level, SubsystemVariant.FULL))
-    s1 = solve_level_dimension(sub, 1, tol)
+    s1, bracket = level_report(sub, 1, tol)
 
     mass_at_d = partition_sum(sub, 1, d_level.value)
     mass_floor = 1.0 - 2.0**level * 4.0 ** (-level * d_level.value)
@@ -244,9 +244,7 @@ def subsystem_dimension_report(
     lower_bound_holds = s1.value >= lower_bound - slack
     upper_bound_holds = s1.value <= d_level.value + slack
 
-    sub_distortion = distortion_constant(sub, 1).value
-    bracket = dimension_bracket(sub, 1, sub_distortion, tol)
-    error_bound = epsilon_proxy + 1.0 / (2 * level) + _log_fraction(sub_distortion) / (level * math.log(4.0))
+    error_bound = epsilon_proxy + 1.0 / (2 * level) + _log_fraction(bracket.distortion) / (level * math.log(4.0))
 
     return SubsystemDimensionReport(
         t=t,

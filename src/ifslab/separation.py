@@ -106,7 +106,8 @@ class SeparationReport:
     probes: tuple[Fraction, ...] | None = None
 
 
-def _min_pair_distance(items: list, distance) -> tuple[Fraction, int, int]:
+def _min_pair_distance(items: list, distance) -> tuple[Fraction | None, int, int]:
+    """(smallest nonzero distance or None, pairs compared, pairs at distance 0) over all pairs."""
     best: Fraction | None = None
     compared = 0
     zero_pairs = 0
@@ -116,11 +117,19 @@ def _min_pair_distance(items: list, distance) -> tuple[Fraction, int, int]:
             compared += 1
             if d == 0:
                 zero_pairs += 1
-            if best is None or d < best:
+            elif best is None or d < best:
                 best = d
-    if best is None:
-        raise ValueError("need at least two words to compare")
     return best, compared, zero_pairs
+
+
+def _separation_report(
+    t: Fraction, n: int, variant: str, items: list, distance, strong: bool, probes=None
+) -> SeparationReport:
+    """The closest pair's report; with ``strong`` a coinciding pair makes delta 0."""
+    nonzero, compared, zero_pairs = _min_pair_distance(items, distance)
+    delta = Fraction(0) if nonzero is None or (strong and zero_pairs) else nonzero
+    c_n = float(delta) ** (1.0 / n) if delta > 0 else 0.0
+    return SeparationReport(t, n, variant, delta, c_n, strong, compared, zero_pairs, probes)
 
 
 def sesc_metric(
@@ -142,26 +151,16 @@ def sesc_metric(
     generators = family_matrices(t) if maps is None else [f.matrix for f in maps]
     alphabet = FAMILY_ALPHABET if maps is None else "".join(str(i + 1) for i in range(len(maps)))
     values = []
-    for word, matrix in iter_compositions(generators, n, alphabet):
+    for _, matrix in iter_compositions(generators, n, alphabet):
         f = MoebiusMap(matrix)
-        values.append((word, tuple(f(x) for x in xs)))  # PoleError propagates
+        values.append(tuple(f(x) for x in xs))  # PoleError propagates
+    if len(values) < 2:
+        raise ValueError("need at least two words to compare")
 
     def distance(p, q) -> Fraction:
-        return max(abs(a - b) for a, b in zip(p[1], q[1]))
+        return max(abs(a - b) for a, b in zip(p, q))
 
-    delta, compared, zero_pairs = _min_pair_distance(values, distance)
-    c_n = float(delta) ** (1.0 / n) if delta > 0 else 0.0
-    return SeparationReport(
-        t=t,
-        level=n,
-        metric_variant=POINTWISE_ON_X,
-        delta=delta,
-        c_n=c_n,
-        strong=True,
-        pairs_compared=compared,
-        equal_matrix_pairs=zero_pairs,
-        probes=tuple(xs),
-    )
+    return _separation_report(t, n, POINTWISE_ON_X, values, distance, True, tuple(xs))
 
 
 def fixed_point_probe(t: RationalLike) -> Fraction:
@@ -177,33 +176,8 @@ def diophantine_metric(t: RationalLike, n: int, strong: bool = True) -> Separati
     """
     t = as_fraction(t)
     check_level(n)
-    items = list(iter_compositions(family_matrices(t), n))
-    best: Fraction | None = None
-    compared = 0
-    equal_pairs = 0
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            d = items[i][1].entry_distance(items[j][1])
-            compared += 1
-            if d == 0:
-                equal_pairs += 1
-                if not strong:
-                    continue
-            if best is None or d < best:
-                best = d
-    if best is None:
-        best = Fraction(0)  # every pair coincided and was excluded
-    c_n = float(best) ** (1.0 / n) if best > 0 else 0.0
-    return SeparationReport(
-        t=t,
-        level=n,
-        metric_variant=MATRIX_ENTRY,
-        delta=best,
-        c_n=c_n,
-        strong=strong,
-        pairs_compared=compared,
-        equal_matrix_pairs=equal_pairs,
-    )
+    matrices = [matrix for _, matrix in iter_compositions(family_matrices(t), n)]
+    return _separation_report(t, n, MATRIX_ENTRY, matrices, Matrix2.entry_distance, strong)
 
 
 # Integer conjugates of the (scaled, inverted) first two generators.

@@ -80,6 +80,22 @@ class TestUsageErrors:
         assert code == 2
         assert "cap" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("lemmas", "--lemma", "4", "--k", "6"),
+            ("lemmas", "--lemma", "2", "--k", "6"),
+            ("lemmas", "--lemma", "cert", "--n", "7", "--grid", "1,2"),
+            ("attractor", "--t", "1", "--levels", "2,3", "--search-common", "7:2:3:1/2"),
+        ],
+    )
+    def test_level_cap_bounds_every_enumeration(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("IFSLAB_MAX_LEVEL", "3")
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "cap" in err
+        assert out == ""
+
 
 class TestSubcommands:
     def test_pressure(self, capsys):

@@ -10,6 +10,7 @@ from ifslab import (
     appendix_conjugacy_check,
     diophantine_metric,
     exact_overlap_search,
+    family_matrices,
     fixed_point_probe,
     make_family,
     overlap_search_maps,
@@ -19,6 +20,7 @@ from ifslab import (
     triangular_word_matrix,
 )
 from ifslab.separation import E_MATRIX, F_MATRIX
+from ifslab.words import iter_compositions
 
 
 class TestOverlapSearch:
@@ -95,6 +97,51 @@ class TestDiophantineMetric:
         plain = diophantine_metric(1, 2, strong=False)
         assert strong.delta == plain.delta
         assert strong.delta > 0
+
+
+def oracle_pair_loop(items, distance, strong):
+    """The hand-written minimum-distance loop the separation metrics used to copy."""
+    best = None
+    compared = zero_pairs = 0
+    for i in range(len(items)):
+        for j in range(i + 1, len(items)):
+            d = distance(items[i], items[j])
+            compared += 1
+            if d == 0:
+                zero_pairs += 1
+                if not strong:
+                    continue
+            if best is None or d < best:
+                best = d
+    return (F(0) if best is None else best), compared, zero_pairs
+
+
+class TestPairLoopOracle:
+    @pytest.mark.parametrize("t", [F(1, 2), F(1), F(3), F(37, 53)])
+    @pytest.mark.parametrize("strong", [True, False])
+    def test_diophantine_matches_oracle(self, t, strong):
+        for n in (1, 2, 3):
+            matrices = [m for _, m in iter_compositions(family_matrices(t), n)]
+            delta, compared, zero_pairs = oracle_pair_loop(matrices, Matrix2.entry_distance, strong)
+            report = diophantine_metric(t, n, strong=strong)
+            assert (report.delta, report.pairs_compared, report.equal_matrix_pairs) == (delta, compared, zero_pairs)
+            assert report.c_n == (float(delta) ** (1.0 / n) if delta > 0 else 0.0)
+
+    @pytest.mark.parametrize("probes", [[F(0)], [F(2, 3)], [F(0), F(2, 3)], [F(1, 3), F(1), F(7, 5)]])
+    def test_sesc_matches_oracle(self, probes):
+        for n in (1, 2, 3):
+            values = [tuple(MoebiusMap(m)(x) for x in probes) for _, m in iter_compositions(family_matrices(1), n)]
+            sup_gap = lambda p, q: max(abs(a - b) for a, b in zip(p, q))  # noqa: E731
+            delta, compared, zero_pairs = oracle_pair_loop(values, sup_gap, True)
+            report = sesc_metric(1, n, probes)
+            assert (report.delta, report.pairs_compared, report.equal_matrix_pairs) == (delta, compared, zero_pairs)
+
+    def test_coinciding_pairs_counted_and_collapse_delta(self):
+        f2 = make_family(1).maps[1]
+        report = sesc_metric(1, 1, [F(1, 3)], maps=[f2, f2, make_family(1).maps[2]])
+        assert report.delta == 0
+        assert report.equal_matrix_pairs == 1
+        assert report.pairs_compared == 3
 
 
 class TestConjugacy:
