@@ -26,9 +26,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations, groupby, product
 from typing import Sequence
 
 from .moebius import (
+    FIXED_ZERO_MATRICES,
     IFSInstance,
     Interval,
     MoebiusMap,
@@ -37,7 +39,9 @@ from .moebius import (
     invariant_interval,
     make_family,
 )
-from .words import chain_sorted, check_level, cylinder, iter_word_tree, iter_words, lex_successor, map_of_word
+from .words import chain_sorted, check_level, cylinder, iter_word_tree, iter_words, lex_successor, tilde_prefixes
+
+MAX_GRID_POINTS = 10_000  # most parameter points a common-disjoint search may scan
 
 
 class OrderRelation(Enum):
@@ -61,6 +65,29 @@ def classify_intervals(first: Interval, second: Interval) -> OrderRelation:
 
 def intervals_disjoint(a: Interval, b: Interval) -> bool:
     return not a.intersects(b)
+
+
+def _prefix_maps(prefixes: Sequence[str]) -> dict[str, MoebiusMap]:
+    """f_v for each v over {1,2} in ``prefixes``, in that order, from one walk of the {1,2} tree."""
+    wanted = set(prefixes)
+    found = {
+        v: MoebiusMap(matrix)
+        for _, v, matrix in iter_word_tree(FIXED_ZERO_MATRICES, max(map(len, prefixes)), "12")
+        if v in wanted
+    }
+    return {v: found[v] for v in prefixes}
+
+
+def _v3_cylinders(maps: dict[str, MoebiusMap], t: Fraction) -> dict[str, Interval]:
+    """cylinder(v + "3", t) for each f_v of ``maps``, in the same order.
+
+    cylinder(v3, t) = f_v(f_3([0, 2t/3])) = f_v([t/2, 2t/3]).  This rests on
+    f1 and f2 not depending on t: each f_v over {1,2} is built once, by
+    :func:`_prefix_maps`, and serves every parameter; only the third cylinder
+    is made per t (through :func:`cylinder`, which rejects t <= 0).
+    """
+    third = cylinder("3", t)
+    return {v: f.image(third) for v, f in maps.items()}
 
 
 @dataclass(frozen=True)
@@ -93,8 +120,8 @@ def verify_lemma2(
     interval = invariant_interval(t)
     grid = interval.grid(samples, include_left=False)
     chain = chain_sorted(k)
-    maps = {v: map_of_word(v, t) for v in chain}
-    cylinders = {v: cylinder(v + "3", t) for v in chain}
+    maps = _prefix_maps(chain)
+    cylinders = _v3_cylinders(maps, t)
 
     bad: list[str] = []
     pairs = points = 0
@@ -110,12 +137,10 @@ def verify_lemma2(
         if classify_intervals(cylinders[v], cylinders[w]) not in (OrderRelation.PREC, OrderRelation.PRECSIM):
             bad.append(f"cylinder order fails for consecutive ({v}3, {w}3)")
     if all_pairs:
-        for i in range(len(chain)):
-            for j in range(i + 1, len(chain)):
-                pairs += 1
-                v, w = chain[i], chain[j]
-                if classify_intervals(cylinders[v], cylinders[w]) not in (OrderRelation.PREC, OrderRelation.PRECSIM):
-                    bad.append(f"cylinder order fails for ({v}3, {w}3)")
+        for v, w in combinations(chain, 2):
+            pairs += 1
+            if classify_intervals(cylinders[v], cylinders[w]) not in (OrderRelation.PREC, OrderRelation.PRECSIM):
+                bad.append(f"cylinder order fails for ({v}3, {w}3)")
     return LemmaReport(ok=not bad, pairs_checked=pairs, points_checked=points, counterexamples=tuple(bad))
 
 
@@ -125,16 +150,11 @@ def verify_lemma4(k: int, t: RationalLike) -> LemmaReport:
         raise ValueError("k must be >= 1")
     check_level(k + 1)
     t = as_fraction(t)
-    long_cyls = {v: cylinder(v + "3", t) for v in iter_words("12", k + 1)}
-    short_cyls = {w: cylinder(w + "3", t) for w in iter_words("12", k)}
-    bad = []
-    pairs = 0
-    for v, cv in long_cyls.items():
-        for w, cw in short_cyls.items():
-            pairs += 1
-            if classify_intervals(cv, cw) is not OrderRelation.PREC:
-                bad.append(f"({v}3, {w}3)")
-    return LemmaReport(ok=not bad, pairs_checked=pairs, points_checked=0, counterexamples=tuple(bad))
+    long_words, short_words = list(iter_words("12", k + 1)), list(iter_words("12", k))
+    cyls = _v3_cylinders(_prefix_maps(long_words + short_words), t)
+    pairs = product(long_words, short_words)
+    bad = tuple(f"({v}3, {w}3)" for v, w in pairs if classify_intervals(cyls[v], cyls[w]) is not OrderRelation.PREC)
+    return LemmaReport(ok=not bad, pairs_checked=len(long_words) * len(short_words), points_checked=0, counterexamples=bad)
 
 
 def lemma4_extremal_threshold(k: int) -> Fraction:
@@ -166,8 +186,9 @@ class ThresholdWitness:
     checked: int
 
 
-def _pair_gap(v: str, w: str, t: Fraction) -> Fraction:
-    return cylinder(w + "3", t).left - cylinder(v + "3", t).right
+def _pair_gap(maps: dict[str, MoebiusMap], v: str, w: str, t: Fraction) -> Fraction:
+    cyls = _v3_cylinders(maps, t)
+    return cyls[w].left - cyls[v].right
 
 
 def lemma3_find_threshold(
@@ -191,6 +212,7 @@ def lemma3_find_threshold(
     if resolution <= 0 or t_max <= 0:
         raise ValueError("t_max and resolution must be positive")
     t = as_fraction(t_start) if t_start is not None else resolution
+    maps = _prefix_maps([v, w])
 
     checked = 0
     best_t: Fraction | None = None
@@ -198,7 +220,7 @@ def lemma3_find_threshold(
     prev: Fraction | None = None
     while True:
         probe = min(t, t_max)
-        gap = _pair_gap(v, w, probe)
+        gap = _pair_gap(maps, v, w, probe)
         checked += 1
         if best_gap is None or gap > best_gap:
             best_t, best_gap = probe, gap
@@ -214,11 +236,11 @@ def lemma3_find_threshold(
         while hi - lo > resolution:
             mid = (lo + hi) / 2
             checked += 1
-            if _pair_gap(v, w, mid) > 0:
+            if _pair_gap(maps, v, w, mid) > 0:
                 hi = mid
             else:
                 lo = mid
-    return ThresholdWitness(v, w, True, hi, lo, hi, _pair_gap(v, w, hi), checked)
+    return ThresholdWitness(v, w, True, hi, lo, hi, _pair_gap(maps, v, w, hi), checked)
 
 
 class WindowKind(Enum):
@@ -242,12 +264,6 @@ class PairWitness:
     relation: OrderRelation
 
 
-def _tilde_prefixes(n: int) -> list[str]:
-    """All words over {1,2} of length < n (the v of each subsystem word v3)."""
-    check_level(n)
-    return [v for k in range(n) for v in iter_words("12", k)]
-
-
 @dataclass(frozen=True)
 class NondegeneracyCertificate:
     """Per-pair disjointness witnesses over a parameter grid (or the failing pairs)."""
@@ -265,19 +281,18 @@ def nondegeneracy_certificate(n: int, t_grid: Sequence[RationalLike]) -> Nondege
     if n < 2:
         raise ValueError("level must be >= 2")
     grid = tuple(as_fraction(t) for t in t_grid)
-    prefixes = _tilde_prefixes(n)
-    cyls = {t: {v: cylinder(v + "3", t) for v in prefixes} for t in grid}
+    prefixes = tilde_prefixes(n)
+    maps = _prefix_maps(prefixes)
+    cyls = {t: _v3_cylinders(maps, t) for t in grid}
     witnesses = []
     missing = []
-    for i in range(len(prefixes)):
-        for j in range(i + 1, len(prefixes)):
-            v, w = prefixes[i], prefixes[j]
-            for t in grid:
-                if intervals_disjoint(cyls[t][v], cyls[t][w]):
-                    witnesses.append(PairWitness(v, w, t, classify_intervals(cyls[t][v], cyls[t][w])))
-                    break
-            else:
-                missing.append((v, w))
+    for v, w in combinations(prefixes, 2):
+        for t in grid:
+            if intervals_disjoint(cyls[t][v], cyls[t][w]):
+                witnesses.append(PairWitness(v, w, t, classify_intervals(cyls[t][v], cyls[t][w])))
+                break
+        else:
+            missing.append((v, w))
     window = ParameterWindow(n, min(grid), max(grid), WindowKind.PER_PAIR_CERTIFICATE) if grid and not missing else None
     return NondegeneracyCertificate(
         level=n,
@@ -315,32 +330,21 @@ def find_common_disjoint_parameter(
         raise ValueError("need 0 < t_lo <= t_hi")
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    prefixes = _tilde_prefixes(n)
-    grid = [lo]
-    while grid[-1] < hi:
-        grid.append(min(grid[-1] + resolution, hi))
+    maps = _prefix_maps(tilde_prefixes(n))
+    steps = math.ceil((hi - lo) / resolution)
+    if steps >= MAX_GRID_POINTS:
+        raise ValueError(f"the grid would have {steps + 1} points; at most {MAX_GRID_POINTS} are allowed")
+    grid = [min(lo + i * resolution, hi) for i in range(steps + 1)]
 
     def violations_at(t: Fraction) -> list[tuple[str, str]]:
-        cyls = {v: cylinder(v + "3", t) for v in prefixes}
-        found = []
-        for i in range(len(prefixes)):
-            for j in range(i + 1, len(prefixes)):
-                if not intervals_disjoint(cyls[prefixes[i]], cyls[prefixes[j]]):
-                    found.append((prefixes[i], prefixes[j]))
-        return found
+        cyls = _v3_cylinders(maps, t).items()
+        return [(v, w) for (v, cv), (w, cw) in combinations(cyls, 2) if not intervals_disjoint(cv, cw)]
 
     per_point = [(t, violations_at(t)) for t in grid]
     ok_points = tuple(t for t, bad in per_point if not bad)
 
-    best_run: list[Fraction] = []
-    run: list[Fraction] = []
-    for t, bad in per_point:
-        if not bad:
-            run.append(t)
-            if len(run) > len(best_run):
-                best_run = list(run)
-        else:
-            run = []
+    ok_runs = [[t for t, _ in run] for ok, run in groupby(per_point, key=lambda item: not item[1]) if ok]
+    best_run = max(ok_runs, key=len, default=None)  # the first of the longest runs
     if best_run:
         window = ParameterWindow(n, best_run[0], best_run[-1], WindowKind.COMMON_DISJOINT)
         return CommonDisjointSearch(n, tuple(grid), True, window, ok_points, None, ())

@@ -65,9 +65,6 @@ class Matrix2:
     def det(self) -> Fraction:
         return self.a * self.d - self.b * self.c
 
-    def trace(self) -> Fraction:
-        return self.a + self.d
-
     def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.a, self.b, self.c, self.d)
 
@@ -267,14 +264,17 @@ def _sqrt_enclosure(q: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
     return lo, lo + Fraction(1, r * scale)
 
 
+#: f1 = x/(4x+4) and f2 = x/4, the same at every parameter: only the third map depends on t.
+FIXED_ZERO_MATRICES = (
+    Matrix2(Fraction(1, 2), Fraction(0), Fraction(2), Fraction(2)),
+    Matrix2(Fraction(1, 2), Fraction(0), Fraction(0), Fraction(2)),
+)
+
+
 def family_matrices(t: RationalLike) -> tuple[Matrix2, Matrix2, Matrix2]:
     """The three generator matrices of the one-parameter family at parameter t."""
     t = as_fraction(t)
-    half = Fraction(1, 2)
-    gen_a = Matrix2(half, Fraction(0), Fraction(2), Fraction(2))
-    gen_b = Matrix2(half, Fraction(0), Fraction(0), Fraction(2))
-    gen_c = Matrix2(half, t, Fraction(0), Fraction(2))
-    return gen_a, gen_b, gen_c
+    return (*FIXED_ZERO_MATRICES, Matrix2(Fraction(1, 2), t, Fraction(0), Fraction(2)))
 
 
 @dataclass(frozen=True)

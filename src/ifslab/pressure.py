@@ -26,6 +26,9 @@ from fractions import Fraction
 from .moebius import IFSInstance, MoebiusMap, RationalLike, as_fraction, make_family
 from .words import SubsystemSpec, SubsystemVariant, build_subsystem, iter_word_tree
 
+MAX_BISECTION_STEPS = 200  # most bisection steps of one level-dimension solve
+INTERVAL_SLACK = 1e-9  # float tolerance on the subsystem interval [d_N - 1/(2N), d_N]
+
 
 def _log_fraction(q: Fraction) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
@@ -84,18 +87,16 @@ class LevelDimension:
     word_count: int
 
 
-def solve_level_dimension(ifs: IFSInstance, n: int, tol: float = 1e-12, max_iter: int = 200) -> LevelDimension:
+def solve_level_dimension(ifs: IFSInstance, n: int, tol: float = 1e-12) -> LevelDimension:
     """Bisection solve of S_n(s) = 1 on [0, log(m)/log(1/gamma2)].
 
     The bracket width is shrunk far enough below ``tol`` that the residual
     itself (not just the root) lands under ``tol``.
     """
-    return _solve(ifs, n, tol, max_iter)[0]
+    return _solve(ifs, n, tol)[0]
 
 
-def _solve(
-    ifs: IFSInstance, n: int, tol: float, max_iter: int, distortion: bool = False
-) -> tuple[LevelDimension, Fraction]:
+def _solve(ifs: IFSInstance, n: int, tol: float, distortion: bool = False) -> tuple[LevelDimension, Fraction]:
     """Bisect S_n(s) = 1 on the norms of one walk; the walk's distortion maximum rides along."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -114,7 +115,7 @@ def _solve(
     # |dS/ds| <= n*log(1/gamma1) near the root, so this width caps the residual at tol.
     width = tol / max(1.0, n * -_log_fraction(ifs.gamma_lower))
     iterations = 0
-    while hi - lo > width and iterations < max_iter:
+    while hi - lo > width and iterations < MAX_BISECTION_STEPS:
         mid = (lo + hi) / 2
         if sum_at(mid) >= 1.0:
             lo = mid
@@ -178,7 +179,7 @@ def dimension_bracket(
 
 def level_report(ifs: IFSInstance, n: int, tol: float = 1e-12) -> tuple[LevelDimension, DimensionBracket]:
     """d_n and its bracket with the depth-n empirical C, from one walk of the word tree."""
-    level, distortion = _solve(ifs, n, tol, 200, distortion=True)
+    level, distortion = _solve(ifs, n, tol, distortion=True)
     return level, _bracket(ifs, n, level.value, distortion)
 
 
@@ -225,7 +226,6 @@ def subsystem_dimension_report(
     t: RationalLike,
     level: int,
     tol: float = 1e-12,
-    slack: float = 1e-9,
 ) -> SubsystemDimensionReport:
     t = as_fraction(t)
     family = make_family(t)
@@ -241,8 +241,8 @@ def subsystem_dimension_report(
     mass_premise_holds = mass_at_d >= 0.5
 
     lower_bound = d_level.value - 1.0 / (2 * level)
-    lower_bound_holds = s1.value >= lower_bound - slack
-    upper_bound_holds = s1.value <= d_level.value + slack
+    lower_bound_holds = s1.value >= lower_bound - INTERVAL_SLACK
+    upper_bound_holds = s1.value <= d_level.value + INTERVAL_SLACK
 
     error_bound = epsilon_proxy + 1.0 / (2 * level) + _log_fraction(bracket.distortion) / (level * math.log(4.0))
 

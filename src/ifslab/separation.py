@@ -20,9 +20,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .moebius import Interval, Matrix2, MoebiusMap, RationalLike, as_fraction, family_matrices, invariant_interval, make_family
-from .words import FAMILY_ALPHABET, check_level, iter_compositions
+from .words import FAMILY_ALPHABET, check_level, iter_compositions, iter_word_tree, word_matrix
 
 POINTWISE_ON_X = "POINTWISE_ON_X"
 MATRIX_ENTRY = "MATRIX_ENTRY"
@@ -43,19 +44,23 @@ class OverlapReport:
         return not self.pairs
 
 
-def _bucket_pairs(buckets: dict, restrict=None) -> list[tuple[str, str]]:
-    """All ordered word pairs sharing a bucket (exact equality re-verified)."""
-    pairs = []
-    for key, words in buckets.items():
-        if len(words) < 2:
-            continue
-        for i in range(len(words)):
-            for j in range(i + 1, len(words)):
-                u, w = words[i], words[j]
-                if restrict is not None and not restrict(u, w):
-                    continue
-                pairs.append((u, w))
-    return pairs
+def _bucket_pairs(items, restrict=None) -> list[tuple[str, str]]:
+    """All ordered pairs of words with equal exact matrix entries, from (word, entries) items.
+
+    Buckets and the words in each keep their first-seen order.
+    """
+    buckets: dict[tuple, list[str]] = {}
+    for word, key in items:
+        buckets.setdefault(key, []).append(word)
+    return [(u, w) for words in buckets.values() for u, w in combinations(words, 2) if restrict is None or restrict(u, w)]
+
+
+def _keys_by_length(generators: list[Matrix2], n: int, alphabet) -> list[list[tuple[str, tuple]]]:
+    """(word, exact matrix entries) of every word, one list per length 1..n in plain order, from one walk."""
+    levels: list[list[tuple[str, tuple]]] = [[] for _ in range(n + 1)]
+    for length, word, matrix in iter_word_tree(generators, n, alphabet):
+        levels[length].append((word, matrix.entries()))
+    return levels[1:]
 
 
 def overlap_search_maps(
@@ -66,18 +71,9 @@ def overlap_search_maps(
 ) -> OverlapReport:
     """Exact overlap search for arbitrary user-supplied maps (equal lengths <= n)."""
     check_level(n)
-    if alphabet is None:
-        alphabet = "".join(str(i + 1) for i in range(len(maps)))
-    generators = [f.matrix for f in maps]
-    searched = 0
-    pairs: list[tuple[str, str]] = []
-    for k in range(1, n + 1):
-        buckets: dict[tuple, list[str]] = {}
-        for word, matrix in iter_compositions(generators, k, alphabet):
-            searched += 1
-            buckets.setdefault(matrix.entries(), []).append(word)
-        pairs.extend(_bucket_pairs(buckets))
-    return OverlapReport(t=t, level=n, pairs=tuple(pairs), words_searched=searched)
+    levels = _keys_by_length([f.matrix for f in maps], n, alphabet)
+    pairs = [pair for level in levels for pair in _bucket_pairs(level)]
+    return OverlapReport(t=t, level=n, pairs=tuple(pairs), words_searched=sum(map(len, levels)))
 
 
 def exact_overlap_search(t: RationalLike, n: int) -> OverlapReport:
@@ -111,14 +107,13 @@ def _min_pair_distance(items: list, distance) -> tuple[Fraction | None, int, int
     best: Fraction | None = None
     compared = 0
     zero_pairs = 0
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            d = distance(items[i], items[j])
-            compared += 1
-            if d == 0:
-                zero_pairs += 1
-            elif best is None or d < best:
-                best = d
+    for p, q in combinations(items, 2):
+        d = distance(p, q)
+        compared += 1
+        if d == 0:
+            zero_pairs += 1
+        elif best is None or d < best:
+            best = d
     return best, compared, zero_pairs
 
 
@@ -126,6 +121,8 @@ def _separation_report(
     t: Fraction, n: int, variant: str, items: list, distance, strong: bool, probes=None
 ) -> SeparationReport:
     """The closest pair's report; with ``strong`` a coinciding pair makes delta 0."""
+    if len(items) < 2:
+        raise ValueError("need at least two words to compare")
     nonzero, compared, zero_pairs = _min_pair_distance(items, distance)
     delta = Fraction(0) if nonzero is None or (strong and zero_pairs) else nonzero
     c_n = float(delta) ** (1.0 / n) if delta > 0 else 0.0
@@ -154,8 +151,6 @@ def sesc_metric(
     for _, matrix in iter_compositions(generators, n, alphabet):
         f = MoebiusMap(matrix)
         values.append(tuple(f(x) for x in xs))  # PoleError propagates
-    if len(values) < 2:
-        raise ValueError("need at least two words to compare")
 
     def distance(p, q) -> Fraction:
         return max(abs(a - b) for a, b in zip(p, q))
@@ -208,11 +203,7 @@ def appendix_conjugacy_check() -> ConjugacyResult:
 
 def triangular_word_matrix(word: str) -> Matrix2:
     """Exact product of a word over {E, F} (left to right)."""
-    lookup = {"E": E_MATRIX, "F": F_MATRIX}
-    result = Matrix2.identity()
-    for ch in word:
-        result = result @ lookup[ch]
-    return result
+    return word_matrix(word, (E_MATRIX, F_MATRIX), "EF")
 
 
 @dataclass(frozen=True)
@@ -296,14 +287,8 @@ def relation_search_ABC(t: RationalLike, depth: int, alphabet: str = FAMILY_ALPH
             note = "third-symbol image overlaps the first two; pruning disabled"
         else:
             note = "third-symbol image disjoint from the first two; leading 3 pruned"
-    generators = [family.maps[i].matrix for i in range(len(alphabet))]
     leaders = alphabet[:2] if not note.startswith("third-symbol image overlaps") else alphabet
-    buckets: dict[tuple, list[str]] = {}
-    searched = 0
-    for k in range(1, depth + 1):
-        for word, matrix in iter_compositions(generators, k, alphabet):
-            searched += 1
-            if word[0] in leaders:
-                buckets.setdefault(matrix.entries(), []).append(word)
-    pairs = _bucket_pairs(buckets, restrict=lambda u, w: u[0] != w[0])
-    return OverlapReport(t=t, level=depth, pairs=tuple(pairs), words_searched=searched, note=note)
+    levels = _keys_by_length([f.matrix for f in family.maps[: len(alphabet)]], depth, alphabet)
+    leading = (item for level in levels for item in level if item[0][0] in leaders)
+    pairs = _bucket_pairs(leading, restrict=lambda u, w: u[0] != w[0])
+    return OverlapReport(t=t, level=depth, pairs=tuple(pairs), words_searched=sum(map(len, levels)), note=note)

@@ -70,6 +70,12 @@ def enumerate_words(alphabet: str, n: int) -> list[str]:
     return list(iter_words(alphabet, n))
 
 
+def tilde_prefixes(n: int) -> list[str]:
+    """Every v over {1,2} of length < n, by length then plain order: the v of each tilde:n word v3."""
+    check_level(n)
+    return [v for k in range(n) for v in iter_words("12", k)]
+
+
 def _chain_key(word: str) -> int:
     key = 0
     for i, ch in enumerate(word):
@@ -194,7 +200,7 @@ class SubsystemSpec:
         check_level(self.level)
         if self.variant is SubsystemVariant.FULL:
             return [u for u in iter_words(FAMILY_ALPHABET, self.level) if "3" in u]
-        return [v + "3" for k in range(self.level) for v in iter_words("12", k)]
+        return [v + "3" for v in tilde_prefixes(self.level)]
 
 
 def build_subsystem(spec: SubsystemSpec) -> IFSInstance:

@@ -96,6 +96,26 @@ class TestUsageErrors:
         assert "cap" in err
         assert out == ""
 
+    @pytest.mark.parametrize("variant", ["sesc", "diophantine", "both"])
+    def test_separation_needs_two_words(self, capsys, variant):
+        code, out, err = run(capsys, "separation", "--t", "1", "--n", "0", "--variant", variant)
+        assert code == 2
+        assert "two words" in err
+        assert out == ""
+
+    def test_common_disjoint_grid_is_bounded(self, capsys):
+        # About 10^12 grid points: rejected before any of them is built.
+        code, out, err = run(capsys, "attractor", "--t", "1", "--search-common", "3:1:1000:1/1000000000")
+        assert code == 2
+        assert "points" in err
+        assert out == ""
+
+    def test_certificate_rejects_a_zero_grid_value(self, capsys):
+        code, out, err = run(capsys, "lemmas", "--lemma", "cert", "--n", "3", "--grid", "0,1")
+        assert code == 2
+        assert "positive" in err
+        assert out == ""
+
 
 class TestSubcommands:
     def test_pressure(self, capsys):
