@@ -186,8 +186,8 @@ def cmd_separation(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | N
         probes = _parse_fraction_list(args.probes) if args.probes else [separation.fixed_point_probe(t)]
         result["sesc"] = separation.sesc_metric(t, args.n, probes)
     if args.variant in ("diophantine", "both"):
-        result["diophantine"] = separation.diophantine_metric(t, args.n, strong=False)
-        result["diophantine_strong"] = separation.diophantine_metric(t, args.n, strong=True)
+        result["diophantine"] = plain = separation.diophantine_metric(t, args.n, strong=False)
+        result["diophantine_strong"] = plain.strong_form()
     return config, result, None
 
 
@@ -247,9 +247,9 @@ def cmd_lemmas(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | None]
         result["lemma4"] = geometry.verify_lemma4(args.k, t)
         result["lemma4_extremal_threshold"] = geometry.lemma4_extremal_threshold(args.k)
     if args.lemma == "cert":
-        if not args.grid:
+        if not (grid := _parse_fraction_list(args.grid or "")):
             raise UsageError("certificates need --grid with at least one rational parameter")
-        result["certificate"] = geometry.nondegeneracy_certificate(args.n, _parse_fraction_list(args.grid))
+        result["certificate"] = geometry.nondegeneracy_certificate(args.n, grid)
     if not result:
         raise UsageError(f"unknown lemma selector {args.lemma!r}")
     return config, result, None

@@ -14,7 +14,7 @@ matrix product in the same order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -55,8 +55,8 @@ class Matrix2:
     d: Fraction
 
     def __post_init__(self) -> None:
-        for field in ("a", "b", "c", "d"):
-            object.__setattr__(self, field, as_fraction(getattr(self, field)))
+        for name in ("a", "b", "c", "d"):
+            object.__setattr__(self, name, as_fraction(getattr(self, name)))
 
     @classmethod
     def identity(cls) -> "Matrix2":
@@ -138,9 +138,11 @@ class MoebiusMap:
     """The line map ``x -> (a*x + b)/(c*x + d)`` of an invertible rational matrix."""
 
     matrix: Matrix2
+    det: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.matrix.det() == 0:
+        object.__setattr__(self, "det", self.matrix.det())
+        if self.det == 0:
             raise DegenerateMapError("determinant zero does not define a Moebius map")
 
     @classmethod
@@ -177,7 +179,7 @@ class MoebiusMap:
         denom = m.c * x + m.d
         if denom == 0:
             raise PoleError(f"pole of {self} at x = {x}")
-        return m.det() / denom**2
+        return self.det / denom**2
 
     def pole(self) -> Fraction | None:
         """The finite pole -d/c, or None for an affine map."""
@@ -201,7 +203,7 @@ class MoebiusMap:
         hi_den = m.c * interval.right + m.d
         if lo_den == 0 or hi_den == 0 or (lo_den > 0) != (hi_den > 0):
             raise PoleError(f"pole of {self} inside {interval}")
-        det = abs(m.det())
+        det = abs(self.det)
         values = (det / lo_den**2, det / hi_den**2)
         return min(values), max(values)
 

@@ -18,7 +18,7 @@ mod 4, so no word in E can equal a word in F.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -84,11 +84,14 @@ def exact_overlap_search(t: RationalLike, n: int) -> OverlapReport:
 
 @dataclass(frozen=True)
 class SeparationReport:
-    """Minimum pairwise distance between distinct level-n words, and c_n = delta^(1/n).
+    """Closest pair of distinct level-n words under the sup norm of their exact vectors, and c_n = delta^(1/n).
 
-    ``delta`` is an exact rational; only the root c_n is floating point.  The
-    strong variant ranges over all distinct word pairs; the plain variant
-    skips pairs whose matrices coincide exactly.
+    A word's vector is its map's values at the probes (``POINTWISE_ON_X``) or
+    its matrix entries (``MATRIX_ENTRY``).  ``delta`` is an exact rational;
+    only the root c_n is floating point.  The plain report skips pairs whose
+    vectors coincide exactly and counts them in ``equal_matrix_pairs``; its
+    :meth:`strong_form` ranges over all distinct word pairs, so there a
+    coinciding pair makes delta 0.
     """
 
     t: Fraction
@@ -101,32 +104,34 @@ class SeparationReport:
     equal_matrix_pairs: int
     probes: tuple[Fraction, ...] | None = None
 
+    def strong_form(self) -> "SeparationReport":
+        """The same pass read over all distinct word pairs: a coinciding pair makes delta 0."""
+        if self.equal_matrix_pairs:
+            return replace(self, strong=True, delta=Fraction(0), c_n=0.0)
+        return replace(self, strong=True)
 
-def _min_pair_distance(items: list, distance) -> tuple[Fraction | None, int, int]:
-    """(smallest nonzero distance or None, pairs compared, pairs at distance 0) over all pairs."""
+
+def _min_pair_distance(vectors: list[tuple]) -> tuple[Fraction, int]:
+    """(smallest nonzero sup-norm distance or 0, pairs at distance 0) over all pairs of vectors."""
     best: Fraction | None = None
-    compared = 0
     zero_pairs = 0
-    for p, q in combinations(items, 2):
-        d = distance(p, q)
-        compared += 1
+    for p, q in combinations(vectors, 2):
+        d = max(abs(a - b) for a, b in zip(p, q))
         if d == 0:
             zero_pairs += 1
         elif best is None or d < best:
             best = d
-    return best, compared, zero_pairs
+    return (Fraction(0) if best is None else best), zero_pairs
 
 
-def _separation_report(
-    t: Fraction, n: int, variant: str, items: list, distance, strong: bool, probes=None
-) -> SeparationReport:
-    """The closest pair's report; with ``strong`` a coinciding pair makes delta 0."""
-    if len(items) < 2:
+def _separation_report(t: Fraction, n: int, variant: str, vectors: list[tuple], probes=None) -> SeparationReport:
+    """The plain report of the closest pair of distinct words' vectors."""
+    if len(vectors) < 2:
         raise ValueError("need at least two words to compare")
-    nonzero, compared, zero_pairs = _min_pair_distance(items, distance)
-    delta = Fraction(0) if nonzero is None or (strong and zero_pairs) else nonzero
+    delta, zero_pairs = _min_pair_distance(vectors)
     c_n = float(delta) ** (1.0 / n) if delta > 0 else 0.0
-    return SeparationReport(t, n, variant, delta, c_n, strong, compared, zero_pairs, probes)
+    compared = len(vectors) * (len(vectors) - 1) // 2
+    return SeparationReport(t, n, variant, delta, c_n, False, compared, zero_pairs, probes)
 
 
 def sesc_metric(
@@ -135,7 +140,7 @@ def sesc_metric(
     probes: list[RationalLike],
     maps: list[MoebiusMap] | None = None,
 ) -> SeparationReport:
-    """Pointwise separation sup_{x in probes} |f_u(x) - f_w(x)|, minimized over pairs.
+    """Pointwise separation sup_{x in probes} |f_u(x) - f_w(x)|, minimized over pairs (strong form).
 
     ``maps`` substitutes a user-supplied system for the family at parameter t
     (t then only labels the report).
@@ -143,19 +148,11 @@ def sesc_metric(
     t = as_fraction(t)
     if not probes:
         raise ValueError("probe set must be nonempty")
-    xs = [as_fraction(x) for x in probes]
+    xs = tuple(as_fraction(x) for x in probes)
     check_level(n)
     generators = family_matrices(t) if maps is None else [f.matrix for f in maps]
-    alphabet = FAMILY_ALPHABET if maps is None else "".join(str(i + 1) for i in range(len(maps)))
-    values = []
-    for _, matrix in iter_compositions(generators, n, alphabet):
-        f = MoebiusMap(matrix)
-        values.append(tuple(f(x) for x in xs))  # PoleError propagates
-
-    def distance(p, q) -> Fraction:
-        return max(abs(a - b) for a, b in zip(p, q))
-
-    return _separation_report(t, n, POINTWISE_ON_X, values, distance, True, tuple(xs))
+    values = [tuple(map(MoebiusMap(m), xs)) for _, m in iter_compositions(generators, n, None)]  # PoleError propagates
+    return _separation_report(t, n, POINTWISE_ON_X, values, xs).strong_form()
 
 
 def fixed_point_probe(t: RationalLike) -> Fraction:
@@ -171,8 +168,9 @@ def diophantine_metric(t: RationalLike, n: int, strong: bool = True) -> Separati
     """
     t = as_fraction(t)
     check_level(n)
-    matrices = [matrix for _, matrix in iter_compositions(family_matrices(t), n)]
-    return _separation_report(t, n, MATRIX_ENTRY, matrices, Matrix2.entry_distance, strong)
+    entries = [matrix.entries() for _, matrix in iter_compositions(family_matrices(t), n)]
+    report = _separation_report(t, n, MATRIX_ENTRY, entries)
+    return report.strong_form() if strong else report
 
 
 # Integer conjugates of the (scaled, inverted) first two generators.

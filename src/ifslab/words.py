@@ -19,6 +19,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from typing import Iterator, Sequence
 
 from .moebius import (
@@ -114,10 +115,7 @@ def lex_successor(v: str) -> str | None:
 def word_matrix(u: str, generators: Sequence[Matrix2], alphabet: str = FAMILY_ALPHABET) -> Matrix2:
     """Exact matrix of the composition addressed by u (left-to-right product)."""
     index = {ch: i for i, ch in enumerate(alphabet)}
-    result = Matrix2.identity()
-    for ch in u:
-        result = result @ generators[index[ch]]
-    return result
+    return reduce(Matrix2.__matmul__, (generators[index[ch]] for ch in u)) if u else Matrix2.identity()
 
 
 def map_of_word(u: str, t: RationalLike) -> MoebiusMap:
@@ -166,7 +164,7 @@ def iter_word_tree(
 def iter_compositions(
     generators: Sequence[Matrix2],
     n: int,
-    alphabet: str = FAMILY_ALPHABET,
+    alphabet: Sequence[str] | None = FAMILY_ALPHABET,
 ) -> Iterator[tuple[str, Matrix2]]:
     """(word, matrix) for every length-n word: the leaves of :func:`iter_word_tree`."""
     return ((word, matrix) for length, word, matrix in iter_word_tree(generators, n, alphabet) if length == n)

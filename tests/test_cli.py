@@ -110,6 +110,13 @@ class TestUsageErrors:
         assert "points" in err
         assert out == ""
 
+    @pytest.mark.parametrize("grid", [",", ",,"])
+    def test_certificate_rejects_an_empty_parsed_grid(self, capsys, grid):
+        code, out, err = run(capsys, "lemmas", "--lemma", "cert", "--n", "3", "--grid", grid)
+        assert code == 2
+        assert "--grid" in err
+        assert out == ""
+
     def test_certificate_rejects_a_zero_grid_value(self, capsys):
         code, out, err = run(capsys, "lemmas", "--lemma", "cert", "--n", "3", "--grid", "0,1")
         assert code == 2

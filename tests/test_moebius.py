@@ -104,6 +104,14 @@ class TestEvaluation:
 
 
 class TestDerivatives:
+    def test_determinant_kept_outside_equality_and_repr(self):
+        m = Matrix2(F(2), F(1), F(3), F(5, 7))
+        f = MoebiusMap(m)
+        assert f.det == m.det() == F(-11, 7)
+        assert f == MoebiusMap(m) and hash(f) == hash(MoebiusMap(m))
+        assert "det" not in repr(f)
+        assert f.derivative(F(1, 3)) == m.det() / (m.c * F(1, 3) + m.d) ** 2
+
     def test_bounds_of_first_map(self):
         fam = make_family(1)
         assert fam.maps[0].derivative_bounds(fam.interval) == (F(9, 100), F(1, 4))

@@ -1,8 +1,11 @@
 """Overlap search, separation metrics and the freeness certificates."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifslab import (
     Matrix2,
@@ -19,8 +22,11 @@ from ifslab import (
     sesc_metric,
     triangular_word_matrix,
 )
+from ifslab import separation
+from ifslab.cli import main
 from ifslab.separation import E_MATRIX, F_MATRIX
 from ifslab.words import iter_compositions
+from test_traversal import _count_calls
 
 
 class TestOverlapSearch:
@@ -72,6 +78,12 @@ class TestSescMetric:
         report = sesc_metric(1, 3, [F(0), F(1), F(7, 5)])
         assert report.delta > 0
         assert report.c_n > 0
+
+    def test_ten_or_more_maps(self):
+        maps = [MoebiusMap.affine(F(1, k), 0) for k in range(2, 12)]
+        report = sesc_metric(1, 1, [F(1)], maps=maps)
+        assert report.delta == F(1, 110)
+        assert report.pairs_compared == 45
 
     def test_empty_probes_rejected(self):
         with pytest.raises(ValueError):
@@ -136,12 +148,76 @@ class TestPairLoopOracle:
             report = sesc_metric(1, n, probes)
             assert (report.delta, report.pairs_compared, report.equal_matrix_pairs) == (delta, compared, zero_pairs)
 
+    def test_every_coordinate_counts(self):
+        vectors = [(F(0), F(0), F(0), F(0)), (F(0), F(0), F(0), F(1, 2)), (F(0), F(0), F(0), F(2))]
+        assert separation._min_pair_distance(vectors) == (F(1, 2), 0)
+
     def test_coinciding_pairs_counted_and_collapse_delta(self):
         f2 = make_family(1).maps[1]
         report = sesc_metric(1, 1, [F(1, 3)], maps=[f2, f2, make_family(1).maps[2]])
         assert report.delta == 0
         assert report.equal_matrix_pairs == 1
         assert report.pairs_compared == 3
+
+
+def oracle_report(n, matrices, strong):
+    """(delta, c_n, pairs compared, equal pairs) of the oracle loop over ``matrices``."""
+    delta, compared, zero_pairs = oracle_pair_loop(matrices, Matrix2.entry_distance, strong)
+    return str(delta), (float(delta) ** (1.0 / n) if delta > 0 else 0.0), compared, zero_pairs
+
+
+def as_oracle_tuple(report):
+    return report["delta"], report["c_n"], report["pairs_compared"], report["equal_matrix_pairs"]
+
+
+def separation_json(capsys, t, n, variant="both"):
+    assert main(["separation", "--t", str(t), "--n", str(n), "--variant", variant]) == 0
+    return json.loads(capsys.readouterr().out)["result"]
+
+
+class TestStrongFormOfOnePass:
+    @pytest.mark.parametrize("t", [F(1, 2), F(1), F(3), F(37, 53)])
+    def test_both_variant_matches_oracle(self, capsys, t):
+        for n in (1, 2, 3):
+            matrices = [m for _, m in iter_compositions(family_matrices(t), n)]
+            result = separation_json(capsys, t, n)
+            assert result["diophantine"]["strong"] is False
+            assert result["diophantine_strong"]["strong"] is True
+            assert as_oracle_tuple(result["diophantine"]) == oracle_report(n, matrices, strong=False)
+            assert as_oracle_tuple(result["diophantine_strong"]) == oracle_report(n, matrices, strong=True)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_coinciding_matrices_zero_only_the_strong_delta(self, capsys, monkeypatch, n):
+        first, second, _ = family_matrices(1)
+        monkeypatch.setattr(separation, "family_matrices", lambda t: (first, second, second))
+        matrices = [m for _, m in iter_compositions((first, second, second), n)]
+        result = separation_json(capsys, 1, n, "diophantine")
+        plain, strong = result["diophantine"], result["diophantine_strong"]
+        assert plain["equal_matrix_pairs"] == strong["equal_matrix_pairs"] > 0
+        assert F(plain["delta"]) > 0 and plain["c_n"] > 0
+        assert (strong["delta"], strong["c_n"]) == ("0", 0.0)
+        assert as_oracle_tuple(plain) == oracle_report(n, matrices, strong=False)
+        assert as_oracle_tuple(strong) == oracle_report(n, matrices, strong=True)
+
+    @pytest.mark.parametrize("variant, passes", [("both", 2), ("diophantine", 1), ("sesc", 1)])
+    def test_one_pair_pass_per_metric(self, capsys, monkeypatch, variant, passes):
+        calls = _count_calls(monkeypatch, separation, "_min_pair_distance")
+        separation_json(capsys, 1, 2, variant)
+        assert len(calls) == passes
+
+    def test_strong_form_of_a_strong_report_is_itself(self):
+        report = diophantine_metric(1, 2)
+        assert report.strong_form() == report
+
+
+@settings(max_examples=25, deadline=None)
+@given(t=st.builds(F, st.integers(1, 200), st.integers(1, 97)), n=st.integers(1, 3))
+def test_strong_form_matches_oracle_at_random_parameter(t, n):
+    matrices = [m for _, m in iter_compositions(family_matrices(t), n)]
+    strong = diophantine_metric(t, n, strong=False).strong_form()
+    assert strong == diophantine_metric(t, n, strong=True)
+    expected = oracle_report(n, matrices, strong=True)
+    assert (str(strong.delta), strong.c_n, strong.pairs_compared, strong.equal_matrix_pairs) == expected
 
 
 class TestConjugacy:

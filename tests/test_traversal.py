@@ -103,6 +103,13 @@ def oracle_derivative_bounds(f, interval):
     return min(values), max(values)
 
 
+def oracle_word_matrix(word, generators, alphabet="123"):
+    result = Matrix2.identity()
+    for ch in word:
+        result = result @ generators[alphabet.index(ch)]
+    return result
+
+
 # -- systems and depths compared ------------------------------------------------
 
 
@@ -149,6 +156,18 @@ class TestTraversal:
         calls = _count_calls(monkeypatch, Matrix2, "__matmul__")
         assert sum(1 for _ in iter_word_tree(family_matrices(1), 5)) == 1 + 3 + 9 + 27 + 81 + 243
         assert len(calls) == 3 + 9 + 27 + 81 + 243
+
+    def test_word_matrix_starts_from_the_first_letter(self, monkeypatch):
+        generators = family_matrices(F(37, 53))
+        calls = _count_calls(monkeypatch, Matrix2, "__matmul__")
+        for word in ("1", "3", "21", "3123", "1232132"):
+            expected = oracle_word_matrix(word, generators)
+            calls.clear()
+            assert word_matrix(word, generators) == expected
+            assert len(calls) == len(word) - 1
+        calls.clear()
+        assert word_matrix("", generators) == Matrix2.identity()
+        assert calls == []
 
     def test_streams_depth_first(self):
         # A materialized level 12 would be 3^12 products; the first 13 items need 36.
@@ -224,6 +243,12 @@ class TestOneWalkPerLevel:
         level_report(fam, 4)
         assert len(products) == 3 + 9 + 27 + 81
         assert len(bounds) == 3 + 9 + 27 + 81
+
+    def test_one_determinant_per_word(self, monkeypatch):
+        fam = make_family(1)
+        dets = _count_calls(monkeypatch, Matrix2, "det")
+        level_report(fam, 6)
+        assert len(dets) == 3 + 9 + 27 + 81 + 243 + 729
 
     def test_leaf_walks_bound_only_the_leaves(self, monkeypatch):
         fam = make_family(1)
