@@ -106,15 +106,13 @@ def _emit(args: argparse.Namespace, config: dict, result: dict, csv_rows: list[d
         sys.stdout.write(text)
 
 
-def _common_config(args: argparse.Namespace) -> dict:
-    return {
-        "format": args.format,
-        "out": args.out,
-        "seed": args.seed,
-        "threads": args.threads,
-        "tol": args.tol,
-        "max_level": max_level(),
-    }
+def _config(args: argparse.Namespace, **resolved) -> dict:
+    """The config echo: the subcommand's own flags in declaration order (``resolved``
+    values in place of their text), then the common flags and the enumeration cap."""
+    skip = ("command", "handler", *_COMMON_FLAGS)
+    own = {name: value for name, value in vars(args).items() if name not in skip}
+    common = {name: getattr(args, name) for name in _COMMON_FLAGS}
+    return {**own, **resolved, **common, "max_level": max_level()}
 
 
 def _parse_subsystem(text: str, t: Fraction) -> SubsystemSpec:
@@ -130,7 +128,6 @@ def _parse_subsystem(text: str, t: Fraction) -> SubsystemSpec:
 def cmd_dim(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | None]:
     t = _positive_fraction(args.t)
     family = make_family(t)
-    config = {"t": str(t), "levels": args.levels, "subsystem": args.subsystem, **_common_config(args)}
     rows = []
     for n in _parse_int_list(args.levels):
         level_dim, bracket = pressure.level_report(family, n, args.tol)
@@ -157,30 +154,22 @@ def cmd_dim(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | None]:
                 "subsystem level-1 dimension left the certified interval "
                 f"[d_N - 1/(2N), d_N] at N={spec.level}"
             )
-    return config, result, rows
+    return _config(args, t=t), result, rows
 
 
 def cmd_pressure(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | None]:
     t = _positive_fraction(args.t)
     family = make_family(t)
-    config = {"t": str(t), "levels": args.levels, "s": args.s, **_common_config(args)}
     exponent = float(args.s)
     rows = []
     for n in _parse_int_list(args.levels):
         estimate = pressure.pressure_estimate(family, n, exponent)
         rows.append({"level": n, "s": exponent, "value": estimate.value})
-    return config, {"pressure": rows}, rows
+    return _config(args, t=t), {"pressure": rows}, rows
 
 
 def cmd_separation(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | None]:
     t = _positive_fraction(args.t)
-    config = {
-        "t": str(t),
-        "n": args.n,
-        "variant": args.variant,
-        "probes": args.probes,
-        **_common_config(args),
-    }
     result: dict = {}
     if args.variant in ("sesc", "both"):
         probes = _parse_fraction_list(args.probes) if args.probes else [separation.fixed_point_probe(t)]
@@ -188,18 +177,11 @@ def cmd_separation(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | N
     if args.variant in ("diophantine", "both"):
         result["diophantine"] = plain = separation.diophantine_metric(t, args.n, strong=False)
         result["diophantine_strong"] = plain.strong_form()
-    return config, result, None
+    return _config(args, t=t), result, None
 
 
 def cmd_freeness(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | None]:
     t = _positive_fraction(args.t)
-    config = {
-        "t": str(t),
-        "depth": args.depth,
-        "samples": args.samples,
-        "max_len": args.max_len,
-        **_common_config(args),
-    }
     conjugacy = separation.appendix_conjugacy_check()
     if not conjugacy.ok:
         raise PropertyViolation("conjugation identity for the integer freeness form failed")
@@ -207,31 +189,17 @@ def cmd_freeness(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | Non
     violations = [check for check in residues if not check.ok]
     if violations:
         raise PropertyViolation(f"mod-4 residue obstruction violated for {len(violations)} word pair(s)")
-    overlaps = separation.exact_overlap_search(t, args.depth)
-    relations = separation.relation_search_ABC(t, args.depth)
     result = {
         "conjugacy_ok": conjugacy.ok,
         "residues_checked": len(residues),
         "residues_ok": not violations,
-        "overlaps": overlaps,
-        "relations": relations,
+        "overlaps": separation.exact_overlap_search(t, args.depth),
+        "relations": separation.relation_search_ABC(t, args.depth),
     }
-    return config, result, None
+    return _config(args, t=t), result, None
 
 
 def cmd_lemmas(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | None]:
-    config = {
-        "lemma": args.lemma,
-        "t": args.t,
-        "k": args.k,
-        "n": args.n,
-        "grid": args.grid,
-        "v": args.v,
-        "w": args.w,
-        "t_max": args.t_max,
-        "resolution": args.resolution,
-        **_common_config(args),
-    }
     result: dict = {}
     if args.lemma in ("2", "all"):
         t = _positive_fraction(args.t)
@@ -252,22 +220,12 @@ def cmd_lemmas(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | None]
         result["certificate"] = geometry.nondegeneracy_certificate(args.n, grid)
     if not result:
         raise UsageError(f"unknown lemma selector {args.lemma!r}")
-    return config, result, None
+    return _config(args), result, None  # --t is echoed as typed: lemma 3 never parses it
 
 
 def cmd_attractor(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | None]:
     t = _positive_fraction(args.t)
-    config = {
-        "t": str(t),
-        "levels": args.levels,
-        "subsystem": args.subsystem,
-        "search_common": args.search_common,
-        **_common_config(args),
-    }
-    if args.subsystem:
-        ifs = build_subsystem(_parse_subsystem(args.subsystem, t))
-    else:
-        ifs = make_family(t)
+    ifs = build_subsystem(_parse_subsystem(args.subsystem, t)) if args.subsystem else make_family(t)
     estimate = geometry.box_counting(ifs, _parse_int_list(args.levels))
     result: dict = {"box_counting": estimate}
     csv_rows = [
@@ -280,17 +238,15 @@ def cmd_attractor(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | No
             level, lo, hi, res = args.search_common.split(":")
         except ValueError as exc:
             raise UsageError("--search-common expects n:t_lo:t_hi:resolution") from exc
-        search = geometry.find_common_disjoint_parameter(
+        result["common_disjoint"] = geometry.find_common_disjoint_parameter(
             int(level), (_positive_fraction(lo), _positive_fraction(hi)), _positive_fraction(res)
         )
-        result["common_disjoint"] = search
-    return config, result, csv_rows
+    return _config(args, t=t), result, csv_rows
 
 
 def cmd_measure(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | None]:
     t = _positive_fraction(args.t)
     family = make_family(t)
-    config = {"t": str(t), "n": args.n, "s": args.s, "q": args.q, **_common_config(args)}
     if args.s == "auto":
         exponent = pressure.solve_level_dimension(family, args.n, args.tol).value
     else:
@@ -309,7 +265,11 @@ def cmd_measure(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | None
             **{f"lq_{q}": v for q, v in estimate.lq_sums.items()},
         }
     ]
-    return config, result, csv_rows
+    return _config(args, t=t), result, csv_rows
+
+
+#: The dests of build_parser's common flags; ``_config`` echoes them after a subcommand's own.
+_COMMON_FLAGS = ("format", "out", "seed", "threads", "tol")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,9 +349,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config, result, csv_rows = args.handler(args)
         _emit(args, config, result, csv_rows, started)
-    except UsageError as exc:
-        print(f"ifslab: error: {exc}", file=sys.stderr)
-        return 2
     except PropertyViolation as exc:
         print(f"ifslab: property violation: {exc}", file=sys.stderr)
         return 3

@@ -181,15 +181,14 @@ class MoebiusMap:
             raise PoleError(f"pole of {self} at x = {x}")
         return self.det / denom**2
 
-    def pole(self) -> Fraction | None:
-        """The finite pole -d/c, or None for an affine map."""
-        if self.matrix.c == 0:
-            return None
-        return -self.matrix.d / self.matrix.c
-
-    def has_pole_in(self, interval: Interval) -> bool:
-        p = self.pole()
-        return p is not None and interval.contains(p)
+    def _endpoint_denominators(self, interval: Interval) -> tuple[Fraction, Fraction]:
+        """c*x + d at both ends of ``interval``; they share a sign unless the pole lies in it."""
+        m = self.matrix
+        lo_den = m.c * interval.left + m.d
+        hi_den = m.c * interval.right + m.d
+        if lo_den == 0 or hi_den == 0 or (lo_den > 0) != (hi_den > 0):
+            raise PoleError(f"pole of {self} inside {interval}")
+        return lo_den, hi_den
 
     def derivative_bounds(self, interval: Interval) -> tuple[Fraction, Fraction]:
         """Exact (inf, sup) of |derivative| over ``interval``.
@@ -198,20 +197,17 @@ class MoebiusMap:
         both bounds are attained at the endpoints.  A sign change means the
         pole sits inside the interval and the bounds do not exist.
         """
-        m = self.matrix
-        lo_den = m.c * interval.left + m.d
-        hi_den = m.c * interval.right + m.d
-        if lo_den == 0 or hi_den == 0 or (lo_den > 0) != (hi_den > 0):
-            raise PoleError(f"pole of {self} inside {interval}")
+        lo_den, hi_den = self._endpoint_denominators(interval)
         det = abs(self.det)
         values = (det / lo_den**2, det / hi_den**2)
         return min(values), max(values)
 
     def image(self, interval: Interval) -> Interval:
         """Exact image interval (the map is monotone off its pole)."""
-        if self.has_pole_in(interval):
-            raise PoleError(f"pole of {self} inside {interval}")
-        u, v = self(interval.left), self(interval.right)
+        lo_den, hi_den = self._endpoint_denominators(interval)
+        m = self.matrix
+        u = (m.a * interval.left + m.b) / lo_den
+        v = (m.a * interval.right + m.b) / hi_den
         return Interval(min(u, v), max(u, v))
 
     def fixed_points(self, width: Fraction = DEFAULT_ROOT_WIDTH) -> list[tuple[Fraction, Fraction]]:

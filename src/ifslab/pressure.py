@@ -60,6 +60,8 @@ def partition_sum(ifs: IFSInstance, n: int, s: float) -> float:
     """S_n(s), with exact norms powered and accumulated in error-free summation."""
     if s < 0:
         raise ValueError("exponent must be >= 0")
+    if not math.isfinite(s):
+        raise ValueError(f"exponent must be finite, got {s}")
     counter, _ = _norm_counter(ifs, n)
     return math.fsum(count * float(norm) ** s for norm, count in counter.items())
 
@@ -100,6 +102,8 @@ def _solve(ifs: IFSInstance, n: int, tol: float, distortion: bool = False) -> tu
     """Bisect S_n(s) = 1 on the norms of one walk; the walk's distortion maximum rides along."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    if not math.isfinite(tol):
+        raise ValueError(f"tolerance must be finite, got {tol}")
     if ifs.gamma_upper >= 1:
         raise ValueError("maps must be strict contractions")
     counter, worst = _norm_counter(ifs, n, distortion)

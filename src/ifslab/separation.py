@@ -237,6 +237,8 @@ def residue_freeness_check(sample_count: int, max_len: int, seed: int) -> list[R
     ending in F; together with cancellation this certifies freeness of the
     {E, F} semigroup, hence of the first two family generators.
     """
+    if sample_count < 1:
+        raise ValueError("sample_count must be >= 1")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     rng = random.Random(seed)

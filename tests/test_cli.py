@@ -194,6 +194,105 @@ class TestSubcommands:
         assert out.splitlines()[0].startswith("level,s,cylinders")
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("dim", "--t", "1", "--levels", "2", "--tol", "nan"),
+            ("dim", "--t", "1", "--levels", "2", "--tol", "inf"),
+            ("measure", "--t", "1", "--n", "3", "--s", "auto", "--tol", "inf"),
+            ("measure", "--t", "1", "--n", "3", "--s", "auto", "--tol", "nan"),
+        ],
+    )
+    def test_non_finite_tolerance_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "tolerance" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("s", ["nan", "inf"])
+    def test_non_finite_pressure_exponent_exits_two(self, capsys, s):
+        code, out, err = run(capsys, "pressure", "--t", "1", "--levels", "1", "--s", s)
+        assert code == 2
+        assert "exponent" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_freeness_needs_a_sample(self, capsys, samples):
+        code, out, err = run(capsys, "freeness", "--t", "1", "--depth", "1", "--samples", samples)
+        assert code == 2
+        assert "sample_count" in err
+        assert out == ""
+
+
+COMMON_ECHO = {"format": "json", "out": None, "seed": 0, "threads": 1, "tol": 1e-12, "max_level": 12}
+
+# Each subcommand's cheap run (apart from --t) and the own flags its config must echo, in order.
+# LEMMAS_T marks where lemmas echoes --t as typed; every other subcommand echoes t in lowest terms.
+LEMMAS_T = object()
+CONFIG_CASES = {
+    "dim": (("--levels", "1"), {"t": "1/2", "levels": "1", "subsystem": None}),
+    "pressure": (("--levels", "1", "--s", "0.5"), {"t": "1/2", "levels": "1", "s": "0.5"}),
+    "separation": (("--n", "1"), {"t": "1/2", "n": 1, "variant": "both", "probes": None}),
+    "freeness": (
+        ("--depth", "1", "--samples", "1", "--max-len", "1"),
+        {"t": "1/2", "depth": 1, "samples": 1, "max_len": 1},
+    ),
+    "lemmas": (
+        ("--lemma", "4", "--k", "1"),
+        {
+            "lemma": "4", "t": LEMMAS_T, "k": 1, "n": 3, "grid": None,
+            "v": None, "w": None, "t_max": "64", "resolution": "1/64",
+        },
+    ),
+    "attractor": (("--levels", "2,3"), {"t": "1/2", "levels": "2,3", "subsystem": None, "search_common": None}),
+    "measure": (("--n", "2", "--s", "0.5"), {"t": "1/2", "n": 2, "s": "0.5", "q": "2,3"}),
+}
+
+
+def flag_pairs(flags):
+    return [flags[i : i + 2] for i in range(0, len(flags), 2)]
+
+
+class TestConfigEcho:
+    @pytest.fixture(autouse=True)
+    def default_level_cap(self, monkeypatch):
+        monkeypatch.delenv("IFSLAB_MAX_LEVEL", raising=False)
+
+    @pytest.mark.parametrize("t_text", ["2/4", "0.5"])
+    @pytest.mark.parametrize("command", list(CONFIG_CASES))
+    def test_exact_keys_order_and_values(self, capsys, command, t_text):
+        flags, own = CONFIG_CASES[command]
+        doc = run_json(capsys, command, "--t", t_text, *flags)
+        expected = {k: (t_text if v is LEMMAS_T else v) for k, v in own.items()}
+        assert list(doc["config"].items()) == list({**expected, **COMMON_ECHO}.items())
+
+    @pytest.mark.parametrize("command", list(CONFIG_CASES))
+    def test_echo_ignores_the_order_flags_are_typed(self, capsys, command):
+        flags, own = CONFIG_CASES[command]
+        pairs = [("--t", "2/4"), *flag_pairs(flags), ("--seed", "5"), ("--threads", "3"), ("--tol", "1e-9")]
+        forward = run_json(capsys, command, *[x for pair in pairs for x in pair])["config"]
+        backward = run_json(capsys, command, *[x for pair in reversed(pairs) for x in pair])["config"]
+        assert json.dumps(forward) == json.dumps(backward)
+        assert list(forward) == [*own, *COMMON_ECHO]
+        assert (forward["seed"], forward["threads"], forward["tol"]) == (5, 3, 1e-9)
+
+    def test_lemma_three_echoes_an_unparsed_t(self, capsys):
+        doc = run_json(
+            capsys, "lemmas", "--lemma", "3", "--t", "abc", "--v", "1", "--w", "2", "--t-max", "8", "--resolution", "1/32"
+        )
+        assert doc["config"]["t"] == "abc"
+        assert doc["config"]["t_max"] == "8" and doc["config"]["resolution"] == "1/32"
+
+    def test_out_path_and_level_cap_echoed(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("IFSLAB_MAX_LEVEL", "5")
+        target = tmp_path / "dim.json"
+        assert main(["dim", "--t", "1", "--levels", "1", "--out", str(target)]) == 0
+        config = json.loads(target.read_text())["config"]
+        assert config["out"] == str(target)
+        assert config["max_level"] == 5
+
+
 class TestPropertyViolationExit:
     def test_residue_violation_exits_three(self, capsys, monkeypatch):
         import ifslab.cli as cli

@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ifslab import (
     DegenerateMapError,
@@ -172,6 +174,98 @@ class TestImage:
     def test_decreasing_map_image_swaps_endpoints(self):
         f = MoebiusMap.from_entries(0, 1, 1, 0)  # x -> 1/x, decreasing
         assert f.image(Interval(1, 2)) == Interval(F(1, 2), 1)
+
+
+def image_oracle(f, interval):
+    """The former image: find the pole -d/c, then evaluate both endpoints through ``__call__``."""
+    m = f.matrix
+    if m.c != 0 and interval.contains(-m.d / m.c):
+        raise PoleError(f"pole of {f} inside {interval}")
+    u, v = f(interval.left), f(interval.right)
+    return Interval(min(u, v), max(u, v))
+
+
+def bounds_oracle(f, interval):
+    """(inf, sup) of |f'| from the two endpoint derivatives, under the same pole rule."""
+    image_oracle(f, interval)
+    values = (abs(f.derivative(interval.left)), abs(f.derivative(interval.right)))
+    return min(values), max(values)
+
+
+def outcome(method, *args):
+    try:
+        return method(*args)
+    except PoleError as exc:
+        return ("PoleError", str(exc))
+
+
+class TestPoleCheck:
+    """``image`` and ``derivative_bounds`` share one endpoint-denominator check."""
+
+    POLE_AT_HALF = MoebiusMap.from_entries(1, 0, 2, -1)  # x -> x/(2x - 1)
+
+    @pytest.mark.parametrize(
+        "interval, has_pole",
+        [
+            (Interval(F(1, 2), 1), True),  # pole at the left endpoint
+            (Interval(0, F(1, 2)), True),  # pole at the right endpoint
+            (Interval(F(1, 2), F(1, 2)), True),  # the pole itself
+            (Interval(0, 1), True),  # pole inside
+            (Interval(1, 2), False),  # pole left of the interval
+            (Interval(-1, F(1, 4)), False),  # pole right of the interval
+        ],
+    )
+    def test_matches_oracle_around_the_pole(self, interval, has_pole):
+        f = self.POLE_AT_HALF
+        expected = outcome(image_oracle, f, interval)
+        assert isinstance(expected, tuple) is has_pole
+        assert outcome(f.image, interval) == expected
+        assert outcome(f.derivative_bounds, interval) == outcome(bounds_oracle, f, interval)
+
+    def test_pole_error_text_kept(self):
+        f = self.POLE_AT_HALF
+        for method in (f.image, f.derivative_bounds):
+            with pytest.raises(PoleError, match=r"^pole of x -> \(1\*x \+ 0\)/\(2\*x \+ -1\) inside \[0, 1\]$"):
+                method(Interval(0, 1))
+
+    @pytest.mark.parametrize("ratio, offset", [(3, 1), (F(-1, 2), 2), (F(1, 4), F(1, 2))])
+    def test_affine_maps_have_no_pole(self, ratio, offset):
+        f = MoebiusMap.affine(ratio, offset)
+        for interval in (Interval(-5, 5), Interval(0, 0), Interval(F(1, 3), F(7, 2))):
+            assert f.image(interval) == image_oracle(f, interval)
+            assert f.derivative_bounds(interval) == bounds_oracle(f, interval) == (abs(F(ratio)),) * 2
+
+    def test_image_checks_the_pole_once(self, monkeypatch):
+        def refuse(self, x):
+            raise AssertionError("image evaluated an endpoint through __call__")
+
+        f = make_family(1).maps[0]
+        monkeypatch.setattr(MoebiusMap, "__call__", refuse)
+        assert f.image(Interval(0, F(2, 3))) == Interval(0, F(1, 10))
+
+    def test_family_cylinders_match_oracle(self):
+        fam = make_family(F(37, 53))
+        maps = [MoebiusMap.identity()]
+        for _ in range(4):
+            maps = [f.compose(g) for f in maps for g in fam.maps]
+            for f in maps:
+                assert f.image(fam.interval) == image_oracle(f, fam.interval)
+                assert f.derivative_bounds(fam.interval) == bounds_oracle(f, fam.interval)
+
+
+small = st.integers(-6, 6)
+points = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.tuples(small, small, small, small), ends=st.tuples(points, points))
+def test_image_and_bounds_match_oracle(entries, ends):
+    a, b, c, d = entries
+    assume(a * d - b * c != 0)
+    f = MoebiusMap.from_entries(a, b, c, d)
+    interval = Interval(min(ends), max(ends))
+    assert outcome(f.image, interval) == outcome(image_oracle, f, interval)
+    assert outcome(f.derivative_bounds, interval) == outcome(bounds_oracle, f, interval)
 
 
 class TestFixedPoints:

@@ -58,6 +58,11 @@ class TestPartitionSum:
         with pytest.raises(ValueError):
             partition_sum(fam, 1, -0.5)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf])
+    def test_rejects_non_finite_exponent(self, s):
+        with pytest.raises(ValueError, match="exponent must be finite"):
+            partition_sum(make_family(1), 1, s)
+
     def test_pressure_at_zero_is_log_alphabet(self):
         fam = make_family(1)
         for n in (1, 2, 4):
@@ -84,6 +89,13 @@ class TestLevelDimension:
             result = solve_level_dimension(fam, n, tol=1e-12)
             assert result.residual < 1e-12
             assert result.word_count == 3**n
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12])
+    def test_rejects_tolerance_outside_zero_to_infinity(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be"):
+            solve_level_dimension(make_family(1), 2, tol)
+        with pytest.raises(ValueError, match="tolerance must be"):
+            dimension_bracket(make_family(1), 2, tol=tol)
 
     def test_doubling_monotone(self):
         for t in (F(1, 2), F(1), F(3)):

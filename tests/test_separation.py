@@ -256,6 +256,11 @@ class TestResidues:
         assert all(c.xe_bottom_left % 4 == 0 for c in checks)
         assert all(c.yf_bottom_left % 4 == 1 for c in checks)
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_needs_at_least_one_sample(self, count):
+        with pytest.raises(ValueError, match="sample_count"):
+            residue_freeness_check(count, 10, seed=1)
+
     def test_seed_reproducibility(self):
         first = residue_freeness_check(50, 10, seed=123)
         second = residue_freeness_check(50, 10, seed=123)
