@@ -58,6 +58,12 @@ def _parse_int_list(text: str) -> list[int]:
         raise UsageError(f"not a comma-separated integer list: {text!r}") from exc
 
 
+def _parse_levels(text: str) -> list[int]:
+    if not (levels := _parse_int_list(text)):
+        raise UsageError(f"--levels needs at least one level, got {text!r}")
+    return levels
+
+
 def _parse_fraction_list(text: str) -> list[Fraction]:
     return [_parse_fraction(part) for part in text.split(",") if part]
 
@@ -81,8 +87,6 @@ def _jsonable(value):
 
 def _emit(args: argparse.Namespace, config: dict, result: dict, csv_rows: list[dict] | None, started: float) -> None:
     if args.format == "csv":
-        if csv_rows is None:
-            raise UsageError(f"subcommand {args.command!r} has no CSV representation; use --format json")
         buffer = io.StringIO()
         writer = csv.DictWriter(buffer, fieldnames=list(csv_rows[0].keys()))
         writer.writeheader()
@@ -129,7 +133,7 @@ def cmd_dim(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | None]:
     t = _positive_fraction(args.t)
     family = make_family(t)
     rows = []
-    for n in _parse_int_list(args.levels):
+    for n in _parse_levels(args.levels):
         level_dim, bracket = pressure.level_report(family, n, args.tol)
         rows.append(
             {
@@ -162,7 +166,7 @@ def cmd_pressure(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | Non
     family = make_family(t)
     exponent = float(args.s)
     rows = []
-    for n in _parse_int_list(args.levels):
+    for n in _parse_levels(args.levels):
         estimate = pressure.pressure_estimate(family, n, exponent)
         rows.append({"level": n, "s": exponent, "value": estimate.value})
     return _config(args, t=t), {"pressure": rows}, rows
@@ -203,7 +207,7 @@ def cmd_lemmas(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | None]
     result: dict = {}
     if args.lemma in ("2", "all"):
         t = _positive_fraction(args.t)
-        result["lemma2"] = geometry.verify_lemma2(args.k, t, all_pairs=True)
+        result["lemma2"] = geometry.verify_lemma2(args.k, t)
     if args.lemma == "3":
         if not (args.v and args.w):
             raise UsageError("lemma 3 threshold search needs --v and --w (a consecutive chain pair)")
@@ -270,6 +274,8 @@ def cmd_measure(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | None
 
 #: The dests of build_parser's common flags; ``_config`` echoes them after a subcommand's own.
 _COMMON_FLAGS = ("format", "out", "seed", "threads", "tol")
+#: The subcommands whose handlers return no CSV rows; ``main`` rejects ``--format csv`` for them up front.
+_JSON_ONLY = ("separation", "freeness", "lemmas")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,6 +353,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        if args.format == "csv" and args.command in _JSON_ONLY:
+            raise UsageError(f"subcommand {args.command!r} has no CSV representation; use --format json")
         config, result, csv_rows = args.handler(args)
         _emit(args, config, result, csv_rows, started)
     except PropertyViolation as exc:

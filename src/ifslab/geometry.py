@@ -42,6 +42,8 @@ from .moebius import (
 from .words import chain_sorted, check_level, cylinder, iter_word_tree, iter_words, lex_successor, tilde_prefixes
 
 MAX_GRID_POINTS = 10_000  # most parameter points a common-disjoint search may scan
+MAX_LEMMA2_K = 7  # longest lemma 2 words: 2^7 of them, 8,128 cylinder pairs
+LEMMA2_SAMPLES = 64  # lemma 2 checks each consecutive pair at this many grid points in (0, 2t/3]
 
 
 class OrderRelation(Enum):
@@ -72,7 +74,7 @@ def _prefix_maps(prefixes: Sequence[str]) -> dict[str, MoebiusMap]:
     wanted = set(prefixes)
     found = {
         v: MoebiusMap(matrix)
-        for _, v, matrix in iter_word_tree(FIXED_ZERO_MATRICES, max(map(len, prefixes)), "12")
+        for _, v, matrix in iter_word_tree(FIXED_ZERO_MATRICES, max(map(len, prefixes)))
         if v in wanted
     }
     return {v: found[v] for v in prefixes}
@@ -100,25 +102,19 @@ class LemmaReport:
     counterexamples: tuple[str, ...]
 
 
-def verify_lemma2(
-    k: int,
-    t: RationalLike,
-    samples: int = 64,
-    all_pairs: bool = False,
-    max_k: int = 7,
-) -> LemmaReport:
+def verify_lemma2(k: int, t: RationalLike) -> LemmaReport:
     """Chain order on {1,2}^k forces pointwise map order and cylinder order.
 
     Consecutive chain pairs are checked pointwise on a rational grid in
     (0, 2t/3] (the shared fixed point 0 is checked for equality) and their
-    v3/w3 cylinders compared exactly; ``all_pairs`` extends the exact
-    cylinder comparison to every pair instead of relying on transitivity.
+    v3/w3 cylinders compared exactly; then the exact cylinder comparison is
+    repeated for every pair instead of relying on transitivity.
     """
-    if k < 1 or k > max_k:
-        raise ValueError(f"k must be in 1..{max_k}, got {k}")
+    if k < 1 or k > MAX_LEMMA2_K:
+        raise ValueError(f"k must be in 1..{MAX_LEMMA2_K}, got {k}")
     t = as_fraction(t)
     interval = invariant_interval(t)
-    grid = interval.grid(samples, include_left=False)
+    grid = interval.grid(LEMMA2_SAMPLES)[1:]
     chain = chain_sorted(k)
     maps = _prefix_maps(chain)
     cylinders = _v3_cylinders(maps, t)
@@ -136,11 +132,10 @@ def verify_lemma2(
         pairs += 1
         if classify_intervals(cylinders[v], cylinders[w]) not in (OrderRelation.PREC, OrderRelation.PRECSIM):
             bad.append(f"cylinder order fails for consecutive ({v}3, {w}3)")
-    if all_pairs:
-        for v, w in combinations(chain, 2):
-            pairs += 1
-            if classify_intervals(cylinders[v], cylinders[w]) not in (OrderRelation.PREC, OrderRelation.PRECSIM):
-                bad.append(f"cylinder order fails for ({v}3, {w}3)")
+    for v, w in combinations(chain, 2):
+        pairs += 1
+        if classify_intervals(cylinders[v], cylinders[w]) not in (OrderRelation.PREC, OrderRelation.PRECSIM):
+            bad.append(f"cylinder order fails for ({v}3, {w}3)")
     return LemmaReport(ok=not bad, pairs_checked=pairs, points_checked=points, counterexamples=tuple(bad))
 
 
@@ -191,19 +186,13 @@ def _pair_gap(maps: dict[str, MoebiusMap], v: str, w: str, t: Fraction) -> Fract
     return cyls[w].left - cyls[v].right
 
 
-def lemma3_find_threshold(
-    v: str,
-    w: str,
-    t_max: RationalLike,
-    resolution: RationalLike = Fraction(1, 64),
-    t_start: RationalLike | None = None,
-) -> ThresholdWitness:
+def lemma3_find_threshold(v: str, w: str, t_max: RationalLike, resolution: RationalLike = Fraction(1, 64)) -> ThresholdWitness:
     """Find the smallest witnessed parameter splitting a consecutive chain pair.
 
-    Doubles t geometrically from ``t_start`` (default: ``resolution``) until
-    the v3/w3 cylinders are strictly disjoint, then bisects the bracketing
-    step down to ``resolution``.  Every verdict is an exact endpoint
-    comparison at a rational parameter; nothing is interpolated.
+    Doubles t geometrically from ``resolution`` until the v3/w3 cylinders
+    are strictly disjoint, then bisects the bracketing step down to
+    ``resolution``.  Every verdict is an exact endpoint comparison at a
+    rational parameter; nothing is interpolated.
     """
     if lex_successor(v) != w:
         raise ValueError(f"{w!r} is not the chain successor of {v!r}")
@@ -211,7 +200,7 @@ def lemma3_find_threshold(
     resolution = as_fraction(resolution)
     if resolution <= 0 or t_max <= 0:
         raise ValueError("t_max and resolution must be positive")
-    t = as_fraction(t_start) if t_start is not None else resolution
+    t = resolution
     maps = _prefix_maps([v, w])
 
     checked = 0
@@ -449,6 +438,9 @@ def measure_stats(
         raise ValueError("level must be >= 1")
     if not 0 < s <= 1:
         raise ValueError("exponent must lie in (0, 1]")
+    for q in qs:
+        if not math.isfinite(q):
+            raise ValueError(f"moment order must be finite, got {q}")
     cylinders = _level_cylinders(ifs, n)
     raw = [float(c.length()) ** s for c in cylinders]
     total = math.fsum(raw)

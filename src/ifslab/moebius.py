@@ -123,11 +123,10 @@ class Interval:
     def intersects(self, other: "Interval") -> bool:
         return max(self.left, other.left) <= min(self.right, other.right)
 
-    def grid(self, count: int, include_left: bool = True) -> list[Fraction]:
-        """``count + 1`` equally spaced rational points, optionally dropping the left end."""
+    def grid(self, count: int) -> list[Fraction]:
+        """``count + 1`` equally spaced rational points, both ends included."""
         step = self.length() / count
-        points = [self.left + i * step for i in range(count + 1)]
-        return points if include_left else points[1:]
+        return [self.left + i * step for i in range(count + 1)]
 
     def __str__(self) -> str:
         return f"[{self.left}, {self.right}]"

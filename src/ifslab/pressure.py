@@ -166,15 +166,11 @@ class DimensionBracket:
         return (self.lower + self.upper) / 2
 
 
-def dimension_bracket(
-    ifs: IFSInstance,
-    n: int,
-    distortion: Fraction | None = None,
-    tol: float = 1e-12,
-) -> DimensionBracket:
-    """[d_n - log(C)/(n*log(1/gamma2)), d_n]; C defaults to the depth-n empirical constant."""
-    if distortion is None:
-        return level_report(ifs, n, tol)[1]
+def dimension_bracket(ifs: IFSInstance, n: int, distortion: RationalLike, tol: float = 1e-12) -> DimensionBracket:
+    """[d_n - log(C)/(n*log(1/gamma2)), d_n] for a distortion constant C >= 1.
+
+    :func:`level_report` gives the bracket with the depth-n empirical C.
+    """
     distortion = as_fraction(distortion)
     if distortion < 1:
         raise ValueError("distortion constant must be >= 1")

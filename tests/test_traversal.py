@@ -179,10 +179,6 @@ class TestTraversal:
         level_one = [w for length, w, _ in iter_word_tree([f.matrix for f in sub.maps], 1) if length == 1]
         assert level_one == [str(i + 1) for i in range(len(sub))]
 
-    def test_alphabet_must_label_every_generator(self):
-        with pytest.raises(ValueError, match="does not label"):
-            list(iter_word_tree(family_matrices(1), 2, "12"))
-
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             next(iter_word_tree(family_matrices(1), -1))
@@ -197,10 +193,6 @@ class TestTraversal:
         generators = family_matrices(t)
         for n in range(6):
             assert list(iter_compositions(generators, n)) == list(oracle_compositions(generators, n))
-
-    def test_compositions_with_custom_alphabet(self):
-        generators = family_matrices(1)[:2]
-        assert list(iter_compositions(generators, 3, "ab")) == list(oracle_compositions(generators, 3, "ab"))
 
 
 @pytest.mark.parametrize("name", list(SYSTEMS))
@@ -234,7 +226,6 @@ class TestOneWalkPerLevel:
                 level, bracket = level_report(fam, n, tol)
                 assert level == solve_level_dimension(fam, n, tol)
                 assert bracket == dimension_bracket(fam, n, distortion_constant(fam, n).value, tol)
-                assert bracket == dimension_bracket(fam, n, tol=tol)
 
     def test_level_report_walks_the_tree_once(self, monkeypatch):
         fam = make_family(1)
