@@ -31,9 +31,7 @@ from .words import (
     build_subsystem,
     chain_sorted,
     cylinder,
-    enumerate_words,
     iter_words,
-    lex_compare,
     lex_successor,
     map_of_word,
     max_level,
@@ -79,7 +77,6 @@ from .geometry import (
     box_counting,
     classify_intervals,
     find_common_disjoint_parameter,
-    intervals_disjoint,
     lemma3_find_threshold,
     lemma4_extremal_disjoint,
     lemma4_extremal_threshold,

@@ -23,14 +23,14 @@ from fractions import Fraction
 
 from . import __version__
 from .moebius import as_fraction, make_family
-from .words import SubsystemSpec, SubsystemVariant, build_subsystem, max_level
+from .words import SubsystemSpec, SubsystemVariant, build_subsystem, check_level, max_level
 from . import geometry, pressure, separation
 
 SCHEMA = "ifslab/1"
 
 
-class UsageError(ValueError):
-    """Configuration problem that should exit with code 2."""
+class UsageError(ValueError, argparse.ArgumentTypeError):
+    """Configuration problem that should exit with code 2 (argparse reports it for typed flags)."""
 
 
 class PropertyViolation(RuntimeError):
@@ -59,8 +59,12 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _parse_levels(text: str) -> list[int]:
+    """The --levels of dim and pressure, every entry checked (1..cap) before the first walk."""
     if not (levels := _parse_int_list(text)):
         raise UsageError(f"--levels needs at least one level, got {text!r}")
+    if min(levels) < 1:
+        raise UsageError("level must be >= 1")
+    check_level(max(levels))
     return levels
 
 
@@ -110,13 +114,13 @@ def _emit(args: argparse.Namespace, config: dict, result: dict, csv_rows: list[d
         sys.stdout.write(text)
 
 
-def _config(args: argparse.Namespace, **resolved) -> dict:
-    """The config echo: the subcommand's own flags in declaration order (``resolved``
-    values in place of their text), then the common flags and the enumeration cap."""
+def _config(args: argparse.Namespace) -> dict:
+    """The config echo: the subcommand's own flags in declaration order, then the
+    common flags and the enumeration cap."""
     skip = ("command", "handler", *_COMMON_FLAGS)
     own = {name: value for name, value in vars(args).items() if name not in skip}
     common = {name: getattr(args, name) for name in _COMMON_FLAGS}
-    return {**own, **resolved, **common, "max_level": max_level()}
+    return {**own, **common, "max_level": max_level()}
 
 
 def _parse_subsystem(text: str, t: Fraction) -> SubsystemSpec:
@@ -129,11 +133,14 @@ def _parse_subsystem(text: str, t: Fraction) -> SubsystemSpec:
     return SubsystemSpec(t, level, variant)
 
 
-def cmd_dim(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | None]:
-    t = _positive_fraction(args.t)
-    family = make_family(t)
+def cmd_dim(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
+    levels = _parse_levels(args.levels)
+    spec = _parse_subsystem(args.subsystem, args.t) if args.subsystem else None
+    if spec and spec.variant is not SubsystemVariant.FULL:
+        raise UsageError("dimension reports cover full:<N> subsystems")
+    family = make_family(args.t)
     rows = []
-    for n in _parse_levels(args.levels):
+    for n in levels:
         level_dim, bracket = pressure.level_report(family, n, args.tol)
         rows.append(
             {
@@ -147,45 +154,40 @@ def cmd_dim(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | None]:
             }
         )
     result: dict = {"levels": rows}
-    if args.subsystem:
-        spec = _parse_subsystem(args.subsystem, t)
-        if spec.variant is not SubsystemVariant.FULL:
-            raise UsageError("dimension reports cover full:<N> subsystems")
-        report = pressure.subsystem_dimension_report(t, spec.level, args.tol)
+    if spec:
+        report = pressure.subsystem_dimension_report(args.t, spec.level, args.tol)
         result["subsystem"] = report
         if report.mass_premise_holds and not (report.lower_bound_holds and report.upper_bound_holds):
             raise PropertyViolation(
                 "subsystem level-1 dimension left the certified interval "
                 f"[d_N - 1/(2N), d_N] at N={spec.level}"
             )
-    return _config(args, t=t), result, rows
+    return result, rows
 
 
-def cmd_pressure(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | None]:
-    t = _positive_fraction(args.t)
-    family = make_family(t)
+def cmd_pressure(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
+    family = make_family(args.t)
     exponent = float(args.s)
     rows = []
     for n in _parse_levels(args.levels):
         estimate = pressure.pressure_estimate(family, n, exponent)
         rows.append({"level": n, "s": exponent, "value": estimate.value})
-    return _config(args, t=t), {"pressure": rows}, rows
+    return {"pressure": rows}, rows
 
 
-def cmd_separation(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | None]:
-    t = _positive_fraction(args.t)
+def cmd_separation(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
     result: dict = {}
     if args.variant in ("sesc", "both"):
-        probes = _parse_fraction_list(args.probes) if args.probes else [separation.fixed_point_probe(t)]
-        result["sesc"] = separation.sesc_metric(t, args.n, probes)
+        probes = _parse_fraction_list(args.probes) if args.probes else [separation.fixed_point_probe(args.t)]
+        result["sesc"] = separation.sesc_metric(args.t, args.n, probes)
     if args.variant in ("diophantine", "both"):
-        result["diophantine"] = plain = separation.diophantine_metric(t, args.n, strong=False)
+        result["diophantine"] = plain = separation.diophantine_metric(args.t, args.n, strong=False)
         result["diophantine_strong"] = plain.strong_form()
-    return _config(args, t=t), result, None
+    return result, None
 
 
-def cmd_freeness(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | None]:
-    t = _positive_fraction(args.t)
+def cmd_freeness(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
+    separation.check_depth(args.depth)  # the residue sampling below checks --samples and --max-len first thing
     conjugacy = separation.appendix_conjugacy_check()
     if not conjugacy.ok:
         raise PropertyViolation("conjugation identity for the integer freeness form failed")
@@ -197,17 +199,16 @@ def cmd_freeness(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | Non
         "conjugacy_ok": conjugacy.ok,
         "residues_checked": len(residues),
         "residues_ok": not violations,
-        "overlaps": separation.exact_overlap_search(t, args.depth),
-        "relations": separation.relation_search_ABC(t, args.depth),
+        "overlaps": separation.exact_overlap_search(args.t, args.depth),
+        "relations": separation.relation_search_ABC(args.t, args.depth),
     }
-    return _config(args, t=t), result, None
+    return result, None
 
 
-def cmd_lemmas(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | None]:
+def cmd_lemmas(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
     result: dict = {}
     if args.lemma in ("2", "all"):
-        t = _positive_fraction(args.t)
-        result["lemma2"] = geometry.verify_lemma2(args.k, t)
+        result["lemma2"] = geometry.verify_lemma2(args.k, _positive_fraction(args.t))
     if args.lemma == "3":
         if not (args.v and args.w):
             raise UsageError("lemma 3 threshold search needs --v and --w (a consecutive chain pair)")
@@ -215,21 +216,24 @@ def cmd_lemmas(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | None]
             args.v, args.w, _positive_fraction(args.t_max), _positive_fraction(args.resolution)
         )
     if args.lemma in ("4", "all"):
-        t = _positive_fraction(args.t)
-        result["lemma4"] = geometry.verify_lemma4(args.k, t)
+        result["lemma4"] = geometry.verify_lemma4(args.k, _positive_fraction(args.t))
         result["lemma4_extremal_threshold"] = geometry.lemma4_extremal_threshold(args.k)
     if args.lemma == "cert":
         if not (grid := _parse_fraction_list(args.grid or "")):
             raise UsageError("certificates need --grid with at least one rational parameter")
         result["certificate"] = geometry.nondegeneracy_certificate(args.n, grid)
-    if not result:
-        raise UsageError(f"unknown lemma selector {args.lemma!r}")
-    return _config(args), result, None  # --t is echoed as typed: lemma 3 never parses it
+    return result, None
 
 
-def cmd_attractor(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | None]:
-    t = _positive_fraction(args.t)
-    ifs = build_subsystem(_parse_subsystem(args.subsystem, t)) if args.subsystem else make_family(t)
+def cmd_attractor(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
+    search = None
+    if args.search_common:
+        try:
+            level, lo, hi, res = args.search_common.split(":")
+        except ValueError as exc:
+            raise UsageError("--search-common expects n:t_lo:t_hi:resolution") from exc
+        search = int(level), (_positive_fraction(lo), _positive_fraction(hi)), _positive_fraction(res)
+    ifs = build_subsystem(_parse_subsystem(args.subsystem, args.t)) if args.subsystem else make_family(args.t)
     estimate = geometry.box_counting(ifs, _parse_int_list(args.levels))
     result: dict = {"box_counting": estimate}
     csv_rows = [
@@ -237,25 +241,19 @@ def cmd_attractor(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | No
         for eps, count in zip(estimate.scales, estimate.counts)
     ]
     csv_rows.append({"epsilon": "slope", "count": estimate.slope})
-    if args.search_common:
-        try:
-            level, lo, hi, res = args.search_common.split(":")
-        except ValueError as exc:
-            raise UsageError("--search-common expects n:t_lo:t_hi:resolution") from exc
-        result["common_disjoint"] = geometry.find_common_disjoint_parameter(
-            int(level), (_positive_fraction(lo), _positive_fraction(hi)), _positive_fraction(res)
-        )
-    return _config(args, t=t), result, csv_rows
+    if search:
+        result["common_disjoint"] = geometry.find_common_disjoint_parameter(*search)
+    return result, csv_rows
 
 
-def cmd_measure(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | None]:
-    t = _positive_fraction(args.t)
-    family = make_family(t)
+def cmd_measure(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
+    qs = [float(q) for q in args.q.split(",") if q]
+    geometry.check_moment_orders(qs)
+    family = make_family(args.t)
     if args.s == "auto":
         exponent = pressure.solve_level_dimension(family, args.n, args.tol).value
     else:
         exponent = float(args.s)
-    qs = [float(q) for q in args.q.split(",") if q]
     estimate = geometry.measure_stats(family, args.n, exponent, qs)
     result = {"exponent": exponent, "measure": estimate}
     csv_rows = [
@@ -269,7 +267,7 @@ def cmd_measure(args: argparse.Namespace) -> tuple[dict, dict, list[dict] | None
             **{f"lq_{q}": v for q, v in estimate.lq_sums.items()},
         }
     ]
-    return _config(args, t=t), result, csv_rows
+    return result, csv_rows
 
 
 #: The dests of build_parser's common flags; ``_config`` echoes them after a subcommand's own.
@@ -290,30 +288,28 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--threads", type=int, default=1, help="accepted and echoed in config, but ignored")
     common.add_argument("--tol", type=float, default=1e-12)
+    needs_t = argparse.ArgumentParser(add_help=False)  # lemmas declares its own --t, echoed as typed
+    needs_t.add_argument("--t", type=_positive_fraction, required=True)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dim", parents=[common], help="level dimensions and distortion brackets")
-    p.add_argument("--t", required=True)
+    p = sub.add_parser("dim", parents=[common, needs_t], help="level dimensions and distortion brackets")
     p.add_argument("--levels", default="1,2,4")
     p.add_argument("--subsystem", default=None, help="e.g. full:4 for the keep-a-3 subsystem report")
     p.set_defaults(handler=cmd_dim)
 
-    p = sub.add_parser("pressure", parents=[common], help="finite-level growth-rate estimates")
-    p.add_argument("--t", required=True)
+    p = sub.add_parser("pressure", parents=[common, needs_t], help="finite-level growth-rate estimates")
     p.add_argument("--levels", default="1,2,4")
     p.add_argument("--s", required=True, help="exponent (float)")
     p.set_defaults(handler=cmd_pressure)
 
-    p = sub.add_parser("separation", parents=[common], help="pointwise and matrix-entry separation")
-    p.add_argument("--t", required=True)
+    p = sub.add_parser("separation", parents=[common, needs_t], help="pointwise and matrix-entry separation")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--variant", choices=("sesc", "diophantine", "both"), default="both")
     p.add_argument("--probes", default=None, help="comma list of rationals; default: the right fixed point")
     p.set_defaults(handler=cmd_separation)
 
-    p = sub.add_parser("freeness", parents=[common], help="conjugacy, residue and relation certificates")
-    p.add_argument("--t", required=True)
+    p = sub.add_parser("freeness", parents=[common, needs_t], help="conjugacy, residue and relation certificates")
     p.add_argument("--depth", type=int, default=5)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--max-len", type=int, default=20, dest="max_len")
@@ -331,15 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", default="1/64")
     p.set_defaults(handler=cmd_lemmas)
 
-    p = sub.add_parser("attractor", parents=[common], help="box counting and common-disjoint search")
-    p.add_argument("--t", required=True)
+    p = sub.add_parser("attractor", parents=[common, needs_t], help="box counting and common-disjoint search")
     p.add_argument("--levels", default="2,3,4,5")
     p.add_argument("--subsystem", default=None, help="e.g. tilde:3 to box-count a subsystem")
     p.add_argument("--search-common", default=None, dest="search_common", help="n:t_lo:t_hi:resolution")
     p.set_defaults(handler=cmd_attractor)
 
-    p = sub.add_parser("measure", parents=[common], help="cylinder-weight statistics at the origin")
-    p.add_argument("--t", required=True)
+    p = sub.add_parser("measure", parents=[common, needs_t], help="cylinder-weight statistics at the origin")
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--s", default="auto", help='exponent in (0,1], or "auto" for the level dimension')
     p.add_argument("--q", default="2,3", help="comma list of moment orders")
@@ -355,8 +349,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.format == "csv" and args.command in _JSON_ONLY:
             raise UsageError(f"subcommand {args.command!r} has no CSV representation; use --format json")
-        config, result, csv_rows = args.handler(args)
-        _emit(args, config, result, csv_rows, started)
+        result, csv_rows = args.handler(args)
+        _emit(args, _config(args), result, csv_rows, started)
     except PropertyViolation as exc:
         print(f"ifslab: property violation: {exc}", file=sys.stderr)
         return 3

@@ -65,10 +65,6 @@ def classify_intervals(first: Interval, second: Interval) -> OrderRelation:
     return OrderRelation.OTHER
 
 
-def intervals_disjoint(a: Interval, b: Interval) -> bool:
-    return not a.intersects(b)
-
-
 def _prefix_maps(prefixes: Sequence[str]) -> dict[str, MoebiusMap]:
     """f_v for each v over {1,2} in ``prefixes``, in that order, from one walk of the {1,2} tree."""
     wanted = set(prefixes)
@@ -277,7 +273,7 @@ def nondegeneracy_certificate(n: int, t_grid: Sequence[RationalLike]) -> Nondege
     missing = []
     for v, w in combinations(prefixes, 2):
         for t in grid:
-            if intervals_disjoint(cyls[t][v], cyls[t][w]):
+            if not cyls[t][v].intersects(cyls[t][w]):
                 witnesses.append(PairWitness(v, w, t, classify_intervals(cyls[t][v], cyls[t][w])))
                 break
         else:
@@ -327,7 +323,7 @@ def find_common_disjoint_parameter(
 
     def violations_at(t: Fraction) -> list[tuple[str, str]]:
         cyls = _v3_cylinders(maps, t).items()
-        return [(v, w) for (v, cv), (w, cw) in combinations(cyls, 2) if not intervals_disjoint(cv, cw)]
+        return [(v, w) for (v, cv), (w, cw) in combinations(cyls, 2) if cv.intersects(cw)]
 
     per_point = [(t, violations_at(t)) for t in grid]
     ok_points = tuple(t for t, bad in per_point if not bad)
@@ -369,11 +365,12 @@ def box_counting(ifs: IFSInstance, levels: Sequence[int]) -> BoxCountEstimate:
     """
     if len(levels) < 2:
         raise ValueError("need at least two levels to fit a slope")
+    if min(levels) < 1:
+        raise ValueError("levels must be >= 1")
+    check_level(max(levels))
     scales: list[Fraction] = []
     counts: list[int] = []
     for n in levels:
-        if n < 1:
-            raise ValueError("levels must be >= 1")
         cylinders = _level_cylinders(ifs, n)
         eps = max(c.length() for c in cylinders)
         if eps == 0:
@@ -428,6 +425,12 @@ class MeasureEstimate:
     weight_total: float
 
 
+def check_moment_orders(qs: Sequence[float]) -> None:
+    """Reject the first non-finite moment order in ``qs`` with ValueError."""
+    if bad := [q for q in qs if not math.isfinite(q)]:
+        raise ValueError(f"moment order must be finite, got {bad[0]}")
+
+
 def measure_stats(
     ifs: IFSInstance,
     n: int,
@@ -438,9 +441,7 @@ def measure_stats(
         raise ValueError("level must be >= 1")
     if not 0 < s <= 1:
         raise ValueError("exponent must lie in (0, 1]")
-    for q in qs:
-        if not math.isfinite(q):
-            raise ValueError(f"moment order must be finite, got {q}")
+    check_moment_orders(qs)
     cylinders = _level_cylinders(ifs, n)
     raw = [float(c.length()) ** s for c in cylinders]
     total = math.fsum(raw)

@@ -146,11 +146,7 @@ class MoebiusMap:
 
     @classmethod
     def from_entries(cls, a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike) -> "MoebiusMap":
-        return cls(Matrix2(as_fraction(a), as_fraction(b), as_fraction(c), as_fraction(d)))
-
-    @classmethod
-    def identity(cls) -> "MoebiusMap":
-        return cls(Matrix2.identity())
+        return cls(Matrix2(a, b, c, d))
 
     @classmethod
     def affine(cls, ratio: RationalLike, offset: RationalLike) -> "MoebiusMap":
@@ -164,13 +160,6 @@ class MoebiusMap:
         if denom == 0:
             raise PoleError(f"pole of {self} at x = {x}")
         return (m.a * x + m.b) / denom
-
-    def compose(self, other: "MoebiusMap") -> "MoebiusMap":
-        """``self.compose(g)`` is the map x -> self(g(x))."""
-        return MoebiusMap(self.matrix @ other.matrix)
-
-    def inverse(self) -> "MoebiusMap":
-        return MoebiusMap(self.matrix.inverse())
 
     def derivative(self, x: RationalLike) -> Fraction:
         x = as_fraction(x)

@@ -39,10 +39,6 @@ class OverlapReport:
     words_searched: int
     note: str = ""
 
-    @property
-    def is_free_so_far(self) -> bool:
-        return not self.pairs
-
 
 def _bucket_pairs(items, restrict=None) -> list[tuple[str, str]]:
     """All ordered pairs of words with equal exact matrix entries, from (word, entries) items.
@@ -55,10 +51,15 @@ def _bucket_pairs(items, restrict=None) -> list[tuple[str, str]]:
     return [(u, w) for words in buckets.values() for u, w in combinations(words, 2) if restrict is None or restrict(u, w)]
 
 
+def check_depth(n: int) -> int:
+    """``n`` if it is a search depth in 1..cap, else ValueError."""
+    if n < 1:
+        raise ValueError(f"search depth must be >= 1, got {n}")
+    return check_level(n)
+
+
 def _keys_by_length(generators: list[Matrix2], n: int) -> list[list[tuple[str, tuple]]]:
     """(word, exact matrix entries) of every word, one list per length 1..n in plain order, from one walk."""
-    if n == 0:  # the walk itself rejects a negative n
-        raise ValueError("search depth must be >= 1, got 0")
     levels: list[list[tuple[str, tuple]]] = [[] for _ in range(n + 1)]
     for length, word, matrix in iter_word_tree(generators, n):
         levels[length].append((word, matrix.entries()))
@@ -67,8 +68,7 @@ def _keys_by_length(generators: list[Matrix2], n: int) -> list[list[tuple[str, t
 
 def overlap_search_maps(maps: list[MoebiusMap], n: int, t: Fraction | None = None) -> OverlapReport:
     """Exact overlap search for arbitrary user-supplied maps (equal lengths 1..n)."""
-    check_level(n)
-    levels = _keys_by_length([f.matrix for f in maps], n)
+    levels = _keys_by_length([f.matrix for f in maps], check_depth(n))
     pairs = [pair for level in levels for pair in _bucket_pairs(level)]
     return OverlapReport(t=t, level=n, pairs=tuple(pairs), words_searched=sum(map(len, levels)))
 
@@ -269,7 +269,7 @@ def relation_search_ABC(t: RationalLike, depth: int) -> OverlapReport:
     compared by exact matrix equality.
     """
     t = as_fraction(t)
-    check_level(depth)
+    check_depth(depth)
     family = make_family(t)
     first, second, third = (f.image(family.interval) for f in family.maps)
     if third.intersects(Interval(min(first.left, second.left), max(first.right, second.right))):

@@ -66,11 +66,6 @@ def iter_words(alphabet: str, n: int) -> Iterator[str]:
         yield "".join(combo)
 
 
-def enumerate_words(alphabet: str, n: int) -> list[str]:
-    check_level(n)
-    return list(iter_words(alphabet, n))
-
-
 def tilde_prefixes(n: int) -> list[str]:
     """Every v over {1,2} of length < n, by length then plain order: the v of each tilde:n word v3."""
     check_level(n)
@@ -85,14 +80,6 @@ def _chain_key(word: str) -> int:
         elif ch != "1":
             raise ValueError(f"chain order is defined on {{1,2}} words only, got {word!r}")
     return key
-
-
-def lex_compare(v: str, w: str) -> int:
-    """-1/0/1 comparison in the chain order on {1,2}^k (equal lengths required)."""
-    if len(v) != len(w):
-        raise ValueError(f"chain order compares equal lengths only: {v!r} vs {w!r}")
-    kv, kw = _chain_key(v), _chain_key(w)
-    return (kv > kw) - (kv < kw)
 
 
 def chain_sorted(k: int) -> list[str]:

@@ -38,9 +38,10 @@ class TestDim:
         assert sub["lower_bound_holds"] and sub["upper_bound_holds"]
 
     def test_zero_parameter_exits_two(self, capsys):
-        code, _, err = run(capsys, "dim", "--t", "0")
-        assert code == 2
-        assert "positive" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["dim", "--t", "0"])
+        assert exc.value.code == 2
+        assert "positive" in capsys.readouterr().err
 
     def test_bad_subsystem_spec(self, capsys):
         code, _, _ = run(capsys, "dim", "--t", "1", "--subsystem", "bogus")
@@ -66,9 +67,10 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
     def test_bad_rational(self, capsys):
-        code, _, err = run(capsys, "dim", "--t", "one")
-        assert code == 2
-        assert "rational" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["dim", "--t", "one"])
+        assert exc.value.code == 2
+        assert "rational" in capsys.readouterr().err
 
     def test_csv_unsupported_for_freeness(self, capsys):
         code, _, err = run(capsys, "freeness", "--t", "1", "--depth", "2", "--samples", "5", "--format", "csv")
@@ -154,6 +156,103 @@ class TestUsageErrors:
         code, out, err = run(capsys, "lemmas", "--lemma", "cert", "--n", "3", "--grid", "0,1")
         assert code == 2
         assert "positive" in err
+        assert out == ""
+
+
+def must_not_run(*_args, **_kwargs):
+    raise AssertionError("the computation ran before the input was rejected")
+
+
+class TestRejectedBeforeWork:
+    """Bad inputs exit 2 before any expensive computation: the computation is patched to fail if called."""
+
+    @pytest.fixture(autouse=True)
+    def small_level_cap(self, monkeypatch):
+        monkeypatch.setenv("IFSLAB_MAX_LEVEL", "4")
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--depth", "0"), "search depth must be >= 1, got 0"),
+            (("--depth", "-2"), "search depth must be >= 1, got -2"),
+            (("--depth", "5"), "level 5 exceeds the enumeration cap 4"),
+        ],
+    )
+    def test_freeness_depth_checked_before_the_residue_sampling(self, capsys, monkeypatch, flags, message):
+        monkeypatch.setattr(cli.separation, "residue_freeness_check", must_not_run)
+        code, out, err = run(capsys, "freeness", "--t", "1", "--samples", "20000", *flags)
+        assert code == 2
+        assert message in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(("--samples", "0"), "sample_count must be >= 1"), (("--max-len", "0"), "max_len must be >= 1")],
+    )
+    def test_freeness_sampling_checked_before_the_searches(self, capsys, monkeypatch, flags, message):
+        monkeypatch.setattr(cli.separation, "exact_overlap_search", must_not_run)
+        monkeypatch.setattr(cli.separation, "relation_search_ABC", must_not_run)
+        code, out, err = run(capsys, "freeness", "--t", "1", "--depth", "4", *flags)
+        assert code == 2
+        assert message in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "command, walk",
+        [
+            (("dim",), (cli.pressure, "level_report")),
+            (("pressure", "--s", "0.5"), (cli.pressure, "pressure_estimate")),
+            (("attractor",), (cli.geometry, "_level_cylinders")),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "levels, message", [("2,0", "must be >= 1"), ("2,-1", "must be >= 1"), ("2,5", "level 5 exceeds the enumeration cap 4")]
+    )
+    def test_every_level_checked_before_the_first_walk(self, capsys, monkeypatch, command, walk, levels, message):
+        monkeypatch.setattr(*walk, must_not_run)
+        code, out, err = run(capsys, *command, "--t", "1", "--levels", levels)
+        assert code == 2
+        assert message in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "q, message", [("nan", "moment order must be finite, got nan"), ("2,x", "could not convert string to float")]
+    )
+    def test_moment_orders_checked_before_the_exponent_solve(self, capsys, monkeypatch, q, message):
+        monkeypatch.setattr(cli.pressure, "solve_level_dimension", must_not_run)
+        code, out, err = run(capsys, "measure", "--t", "1", "--n", "3", "--s", "auto", "--q", q)
+        assert code == 2
+        assert message in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("bogus", "subsystem spec must look like full:4 or tilde:3"),
+            ("tilde:3", "dimension reports cover full:<N> subsystems"),
+            ("full:0", "subsystem level must be >= 1"),
+        ],
+    )
+    def test_dim_subsystem_checked_before_the_walks(self, capsys, monkeypatch, spec, message):
+        monkeypatch.setattr(cli.pressure, "level_report", must_not_run)
+        code, out, err = run(capsys, "dim", "--t", "1", "--levels", "3", "--subsystem", spec)
+        assert code == 2
+        assert message in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "search, message",
+        [
+            ("3:2:4", "--search-common expects n:t_lo:t_hi:resolution"),
+            ("x:2:4:1", "invalid literal for int()"),
+            ("3:0:4:1", "parameter must be positive, got '0'"),
+        ],
+    )
+    def test_search_common_parsed_before_box_counting(self, capsys, monkeypatch, search, message):
+        monkeypatch.setattr(cli.geometry, "box_counting", must_not_run)
+        code, out, err = run(capsys, "attractor", "--t", "1", "--levels", "2,3", "--search-common", search)
+        assert code == 2
+        assert message in err
         assert out == ""
 
 

@@ -18,7 +18,6 @@ from ifslab import (
     classify_intervals,
     cylinder,
     find_common_disjoint_parameter,
-    intervals_disjoint,
     lemma3_find_threshold,
     lemma4_extremal_disjoint,
     lemma4_extremal_threshold,
@@ -107,7 +106,7 @@ class TestLemma3:
         result = lemma3_find_threshold("21", "12", t_max=64, resolution=F(1, 64))
         for scale in (2, 4):
             t = result.witness_t * scale
-            assert intervals_disjoint(cylinder("213", t), cylinder("123", t))
+            assert not cylinder("213", t).intersects(cylinder("123", t))
 
     def test_not_found_reports_best_gap(self):
         result = lemma3_find_threshold("1", "2", t_max=F(1, 4), resolution=F(1, 16))
@@ -122,7 +121,7 @@ class TestLemma3:
             for t in (F(1, 2), F(1), F(3), F(9)):
                 a = map_of_word(u, t)(t / 2)
                 b = map_of_word(u, t)(2 * t / 3)
-                split = intervals_disjoint(cylinder("1" + u + "3", t), cylinder("2" + u + "3", t))
+                split = not cylinder("1" + u + "3", t).intersects(cylinder("2" + u + "3", t))
                 assert split == (b - a < a * b)
 
     def test_rejects_non_consecutive_pairs(self):
@@ -171,9 +170,7 @@ class TestNondegeneracy:
     def test_witnesses_reverify(self):
         cert = nondegeneracy_certificate(3, [F(1), F(10)])
         for witness in cert.witnesses:
-            assert intervals_disjoint(
-                cylinder(witness.v + "3", witness.t), cylinder(witness.w + "3", witness.t)
-            )
+            assert not cylinder(witness.v + "3", witness.t).intersects(cylinder(witness.w + "3", witness.t))
 
 
 class TestCommonDisjoint:
@@ -191,8 +188,8 @@ class TestCommonDisjoint:
 
     def test_level_three_boundary_points_fail(self):
         # the pairs (11,21)/(12,22) touch at t=2, the pair (22,1) at t=4
-        assert not intervals_disjoint(cylinder("113", 2), cylinder("213", 2))
-        assert not intervals_disjoint(cylinder("223", 4), cylinder("13", 4))
+        assert cylinder("113", 2).intersects(cylinder("213", 2))
+        assert cylinder("223", 4).intersects(cylinder("13", 4))
 
     def test_not_found_reports_best(self):
         search = find_common_disjoint_parameter(3, (F(1, 2), F(2)), F(1, 2))
@@ -200,9 +197,7 @@ class TestCommonDisjoint:
         assert search.best_t is not None
         assert search.best_violations
         for v, w in search.best_violations:
-            assert not intervals_disjoint(
-                cylinder(v + "3", search.best_t), cylinder(w + "3", search.best_t)
-            )
+            assert cylinder(v + "3", search.best_t).intersects(cylinder(w + "3", search.best_t))
 
 
 def quarter_cantor_pair():

@@ -43,8 +43,8 @@ class TestOverlapSearch:
 
     def test_distinct_words_distinct_matrices(self):
         fam = make_family(1)
-        m13 = fam.maps[0].compose(fam.maps[2]).matrix
-        m23 = fam.maps[1].compose(fam.maps[2]).matrix
+        m13 = fam.maps[0].matrix @ fam.maps[2].matrix
+        m23 = fam.maps[1].matrix @ fam.maps[2].matrix
         assert m13 != m23
 
     def test_other_parameters(self):

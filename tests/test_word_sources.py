@@ -46,7 +46,6 @@ from ifslab.geometry import (
     _prefix_maps,
     _v3_cylinders,
     classify_intervals,
-    intervals_disjoint,
 )
 from ifslab.moebius import IFSInstance, Interval
 from ifslab.separation import OverlapReport, _bucket_pairs
@@ -149,7 +148,7 @@ def oracle_certificate(n, t_grid):
         for j in range(i + 1, len(prefixes)):
             v, w = prefixes[i], prefixes[j]
             for t in grid:
-                if intervals_disjoint(cyls[t][v], cyls[t][w]):
+                if not cyls[t][v].intersects(cyls[t][w]):
                     witnesses.append(PairWitness(v, w, t, classify_intervals(cyls[t][v], cyls[t][w])))
                     break
             else:
@@ -171,7 +170,7 @@ def oracle_common_disjoint(n, t_range, resolution):
         found = []
         for i in range(len(prefixes)):
             for j in range(i + 1, len(prefixes)):
-                if not intervals_disjoint(cyls[prefixes[i]], cyls[prefixes[j]]):
+                if cyls[prefixes[i]].intersects(cyls[prefixes[j]]):
                     found.append((prefixes[i], prefixes[j]))
         return found
 
