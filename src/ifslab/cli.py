@@ -136,8 +136,10 @@ def _parse_subsystem(text: str, t: Fraction) -> SubsystemSpec:
 def cmd_dim(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
     levels = _parse_levels(args.levels)
     spec = _parse_subsystem(args.subsystem, args.t) if args.subsystem else None
-    if spec and spec.variant is not SubsystemVariant.FULL:
-        raise UsageError("dimension reports cover full:<N> subsystems")
+    if spec:
+        if spec.variant is not SubsystemVariant.FULL:
+            raise UsageError("dimension reports cover full:<N> subsystems")
+        check_level(2 * spec.level)  # the subsystem report also solves level 2N
     family = make_family(args.t)
     rows = []
     for n in levels:
@@ -233,6 +235,7 @@ def cmd_attractor(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
         except ValueError as exc:
             raise UsageError("--search-common expects n:t_lo:t_hi:resolution") from exc
         search = int(level), (_positive_fraction(lo), _positive_fraction(hi)), _positive_fraction(res)
+        geometry.common_disjoint_grid(*search)  # every range check before the box counting
     ifs = build_subsystem(_parse_subsystem(args.subsystem, args.t)) if args.subsystem else make_family(args.t)
     estimate = geometry.box_counting(ifs, _parse_int_list(args.levels))
     result: dict = {"box_counting": estimate}

@@ -302,11 +302,12 @@ class CommonDisjointSearch:
     best_violations: tuple[tuple[str, str], ...]
 
 
-def find_common_disjoint_parameter(
+def common_disjoint_grid(
     n: int,
     t_range: tuple[RationalLike, RationalLike],
     resolution: RationalLike,
-) -> CommonDisjointSearch:
+) -> list[Fraction]:
+    """The parameter grid of a common-disjoint search, once every argument is checked (ValueError if not)."""
     if n < 2:
         raise ValueError("level must be >= 2")
     lo, hi = (as_fraction(x) for x in t_range)
@@ -315,11 +316,20 @@ def find_common_disjoint_parameter(
         raise ValueError("need 0 < t_lo <= t_hi")
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    maps = _prefix_maps(tilde_prefixes(n))
+    check_level(n)
     steps = math.ceil((hi - lo) / resolution)
     if steps >= MAX_GRID_POINTS:
         raise ValueError(f"the grid would have {steps + 1} points; at most {MAX_GRID_POINTS} are allowed")
-    grid = [min(lo + i * resolution, hi) for i in range(steps + 1)]
+    return [min(lo + i * resolution, hi) for i in range(steps + 1)]
+
+
+def find_common_disjoint_parameter(
+    n: int,
+    t_range: tuple[RationalLike, RationalLike],
+    resolution: RationalLike,
+) -> CommonDisjointSearch:
+    grid = common_disjoint_grid(n, t_range, resolution)
+    maps = _prefix_maps(tilde_prefixes(n))
 
     def violations_at(t: Fraction) -> list[tuple[str, str]]:
         cyls = _v3_cylinders(maps, t).items()

@@ -20,10 +20,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 
 from .moebius import Interval, Matrix2, MoebiusMap, RationalLike, as_fraction, family_matrices, invariant_interval, make_family
-from .words import check_level, iter_compositions, iter_word_tree, word_matrix
+from .words import check_level, iter_compositions, iter_word_tree
 
 POINTWISE_ON_X = "POINTWISE_ON_X"
 MATRIX_ENTRY = "MATRIX_ENTRY"
@@ -88,7 +89,9 @@ class SeparationReport:
     only the root c_n is floating point.  The plain report skips pairs whose
     vectors coincide exactly and counts them in ``equal_matrix_pairs``; its
     :meth:`strong_form` ranges over all distinct word pairs, so there a
-    coinciding pair makes delta 0.
+    coinciding pair makes delta 0.  ``pairs_compared`` is the N(N-1)/2 pairs
+    of the N words that the pass covers, not the number of distances it
+    evaluates.
     """
 
     t: Fraction
@@ -109,16 +112,36 @@ class SeparationReport:
 
 
 def _min_pair_distance(vectors: list[tuple]) -> tuple[Fraction, int]:
-    """(smallest nonzero sup-norm distance or 0, pairs at distance 0) over all pairs of vectors."""
-    best: Fraction | None = None
+    """(smallest nonzero sup-norm distance or 0, pairs at distance 0) over all pairs of vectors.
+
+    A sort-and-sweep (Bentley & Shamos, STOC 1976): a run of r identical
+    vectors holds r(r-1)/2 zero pairs and is kept once.  The distinct vectors
+    are then ordered on the coordinate with the most distinct values (the
+    lowest index on a tie), and each is compared only with the earlier ones
+    whose gap on that coordinate is below the best distance so far, which
+    bounds their sup-norm distance from below.
+    """
     zero_pairs = 0
-    for p, q in combinations(vectors, 2):
-        d = max(abs(a - b) for a, b in zip(p, q))
-        if d == 0:
-            zero_pairs += 1
-        elif best is None or d < best:
-            best = d
-    return (Fraction(0) if best is None else best), zero_pairs
+    distinct = []
+    for vector, run in groupby(sorted(vectors)):
+        r = sum(1 for _ in run)
+        zero_pairs += r * (r - 1) // 2
+        distinct.append(vector)
+    if len(distinct) < 2:
+        return Fraction(0), zero_pairs
+    axis = max(range(len(distinct[0])), key=lambda k: len({v[k] for v in distinct}))
+    distinct.sort(key=itemgetter(axis))
+    best: Fraction | None = None
+    for j, q in enumerate(distinct):
+        x = q[axis]
+        for i in range(j - 1, -1, -1):
+            p = distinct[i]
+            if best is not None and x - p[axis] >= best:
+                break
+            d = max(abs(a - b) for a, b in zip(p, q))
+            if best is None or d < best:
+                best = d
+    return best, zero_pairs
 
 
 def _separation_report(t: Fraction, n: int, variant: str, vectors: list[tuple], probes=None) -> SeparationReport:
@@ -194,9 +217,22 @@ def appendix_conjugacy_check() -> ConjugacyResult:
     return ConjugacyResult(ok=ok, from_first=from_first, from_second=from_second)
 
 
+#: E and F as integer 4-tuples (a, b, c, d), the form their products are built in.
+_EF_INTEGER = {symbol: tuple(map(int, m.entries())) for symbol, m in zip("EF", (E_MATRIX, F_MATRIX))}
+
+
+def _ef_product(word: str) -> tuple[int, int, int, int]:
+    """Integer entries of the product of a word over {E, F} (left to right)."""
+    a, b, c, d = 1, 0, 0, 1
+    for symbol in word:
+        ea, eb, ec, ed = _EF_INTEGER[symbol]
+        a, b, c, d = a * ea + b * ec, a * eb + b * ed, c * ea + d * ec, c * eb + d * ed
+    return a, b, c, d
+
+
 def triangular_word_matrix(word: str) -> Matrix2:
     """Exact product of a word over {E, F} (left to right)."""
-    return word_matrix(word, (E_MATRIX, F_MATRIX), "EF")
+    return Matrix2(*_ef_product(word))
 
 
 @dataclass(frozen=True)
@@ -216,13 +252,10 @@ class ResidueCheck:
         return self.shape_ok and self.xe_residue == 0 and self.yf_residue == 1
 
 
-def _triangular_shape_ok(m: Matrix2, length: int) -> bool:
-    return (
-        m.b == 0
-        and m.d == 1
-        and m.a == Fraction(4) ** length
-        and m.c.denominator == 1
-    )
+def _triangular_shape_ok(m: tuple[int, int, int, int], length: int) -> bool:
+    """``m`` is [[4^length, 0], [c, 1]]; c is an integer because the product is built in integers."""
+    a, b, _, d = m
+    return b == 0 and d == 1 and a == 4**length
 
 
 def residue_freeness_check(sample_count: int, max_len: int, seed: int) -> list[ResidueCheck]:
@@ -241,17 +274,17 @@ def residue_freeness_check(sample_count: int, max_len: int, seed: int) -> list[R
     for _ in range(sample_count):
         x_word = "".join(rng.choice("EF") for _ in range(rng.randint(0, max_len)))
         y_word = "".join(rng.choice("EF") for _ in range(rng.randint(0, max_len)))
-        xe = triangular_word_matrix(x_word) @ E_MATRIX
-        yf = triangular_word_matrix(y_word) @ F_MATRIX
+        xe = _ef_product(x_word + "E")
+        yf = _ef_product(y_word + "F")
         shape_ok = _triangular_shape_ok(xe, len(x_word) + 1) and _triangular_shape_ok(yf, len(y_word) + 1)
         checks.append(
             ResidueCheck(
                 x_word=x_word,
                 y_word=y_word,
-                xe_bottom_left=int(xe.c),
-                yf_bottom_left=int(yf.c),
-                xe_residue=int(xe.c) % 4,
-                yf_residue=int(yf.c) % 4,
+                xe_bottom_left=xe[2],
+                yf_bottom_left=yf[2],
+                xe_residue=xe[2] % 4,
+                yf_residue=yf[2] % 4,
                 shape_ok=shape_ok,
             )
         )

@@ -231,6 +231,7 @@ class TestRejectedBeforeWork:
             ("bogus", "subsystem spec must look like full:4 or tilde:3"),
             ("tilde:3", "dimension reports cover full:<N> subsystems"),
             ("full:0", "subsystem level must be >= 1"),
+            ("full:3", "level 6 exceeds the enumeration cap 4"),  # the report also solves level 2N
         ],
     )
     def test_dim_subsystem_checked_before_the_walks(self, capsys, monkeypatch, spec, message):
@@ -249,6 +250,22 @@ class TestRejectedBeforeWork:
         ],
     )
     def test_search_common_parsed_before_box_counting(self, capsys, monkeypatch, search, message):
+        monkeypatch.setattr(cli.geometry, "box_counting", must_not_run)
+        code, out, err = run(capsys, "attractor", "--t", "1", "--levels", "2,3", "--search-common", search)
+        assert code == 2
+        assert message in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "search, message",
+        [
+            ("3:1:1000:1/1000000000", "the grid would have 999000000001 points; at most 10000 are allowed"),
+            ("5:2:4:1", "level 5 exceeds the enumeration cap 4"),
+            ("1:2:4:1", "level must be >= 2"),
+            ("3:4:2:1", "need 0 < t_lo <= t_hi"),
+        ],
+    )
+    def test_search_common_range_checked_before_box_counting(self, capsys, monkeypatch, search, message):
         monkeypatch.setattr(cli.geometry, "box_counting", must_not_run)
         code, out, err = run(capsys, "attractor", "--t", "1", "--levels", "2,3", "--search-common", search)
         assert code == 2

@@ -1,7 +1,9 @@
 """Overlap search, separation metrics and the freeness certificates."""
 
 import json
+import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +26,8 @@ from ifslab import (
 )
 from ifslab import separation
 from ifslab.cli import main
-from ifslab.separation import E_MATRIX, F_MATRIX
-from ifslab.words import iter_compositions
+from ifslab.separation import E_MATRIX, F_MATRIX, ResidueCheck
+from ifslab.words import iter_compositions, word_matrix
 from test_traversal import _count_calls
 from test_word_sources import oracle_relation_search
 
@@ -125,6 +127,10 @@ class TestDiophantineMetric:
         assert strong.delta > 0
 
 
+def sup_gap(p, q):
+    return max(abs(a - b) for a, b in zip(p, q))
+
+
 def oracle_pair_loop(items, distance, strong):
     """The hand-written minimum-distance loop the separation metrics used to copy."""
     best = None
@@ -157,7 +163,6 @@ class TestPairLoopOracle:
     def test_sesc_matches_oracle(self, probes):
         for n in (1, 2, 3):
             values = [tuple(MoebiusMap(m)(x) for x in probes) for _, m in iter_compositions(family_matrices(1), n)]
-            sup_gap = lambda p, q: max(abs(a - b) for a, b in zip(p, q))  # noqa: E731
             delta, compared, zero_pairs = oracle_pair_loop(values, sup_gap, True)
             report = sesc_metric(1, n, probes)
             assert (report.delta, report.pairs_compared, report.equal_matrix_pairs) == (delta, compared, zero_pairs)
@@ -171,6 +176,36 @@ class TestPairLoopOracle:
         assert report.delta == 0
         assert report.equal_matrix_pairs == 1
         assert report.pairs_compared == 3
+
+
+small_rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def vector_lists(draw):
+    """2-40 vectors of 1-4 small rationals, with a repeated vector and ties on every coordinate.
+
+    Each coordinate draws from a pool of at most four values, so vectors share
+    coordinates without being equal; one vector is always listed twice.
+    """
+    width = draw(st.integers(1, 4))
+    pools = [draw(st.lists(small_rationals, min_size=1, max_size=4, unique=True)) for _ in range(width)]
+    vectors = draw(st.lists(st.tuples(*map(st.sampled_from, pools)), min_size=1, max_size=39))
+    vectors.append(draw(st.sampled_from(vectors)))
+    return draw(st.permutations(vectors))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vectors=vector_lists())
+def test_sweep_matches_oracle_pair_loop(vectors):
+    delta, _, zero_pairs = oracle_pair_loop(vectors, sup_gap, strong=False)
+    assert separation._min_pair_distance(vectors) == (delta, zero_pairs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(vector=st.lists(small_rationals, min_size=1, max_size=4).map(tuple), count=st.integers(2, 40))
+def test_sweep_all_identical(vector, count):
+    assert separation._min_pair_distance([vector] * count) == (0, count * (count - 1) // 2)
 
 
 def oracle_report(n, matrices, strong):
@@ -278,6 +313,46 @@ class TestResidues:
         first = residue_freeness_check(50, 10, seed=123)
         second = residue_freeness_check(50, 10, seed=123)
         assert [(c.x_word, c.y_word) for c in first] == [(c.x_word, c.y_word) for c in second]
+
+
+def oracle_ef_matrix(word):
+    """The Fraction product of a word over {E, F} that the residue check used to build."""
+    return word_matrix(word, (E_MATRIX, F_MATRIX), "EF")
+
+
+def oracle_residue_check(sample_count, max_len, seed):
+    """The residue check over Fraction matrices, as it was before the integer products."""
+    rng = random.Random(seed)
+    checks = []
+    for _ in range(sample_count):
+        x_word = "".join(rng.choice("EF") for _ in range(rng.randint(0, max_len)))
+        y_word = "".join(rng.choice("EF") for _ in range(rng.randint(0, max_len)))
+        xe = oracle_ef_matrix(x_word) @ E_MATRIX
+        yf = oracle_ef_matrix(y_word) @ F_MATRIX
+        shape_ok = all(
+            m.b == 0 and m.d == 1 and m.a == F(4) ** length and m.c.denominator == 1
+            for m, length in ((xe, len(x_word) + 1), (yf, len(y_word) + 1))
+        )
+        checks.append(
+            ResidueCheck(x_word, y_word, int(xe.c), int(yf.c), int(xe.c) % 4, int(yf.c) % 4, shape_ok)
+        )
+    return checks
+
+
+class TestIntegerProductsMatchFractionOracle:
+    def test_every_word_to_length_eight(self):
+        for length in range(9):
+            for word in map("".join, product("EF", repeat=length)):
+                assert triangular_word_matrix(word) == oracle_ef_matrix(word), word
+
+    @settings(max_examples=200, deadline=None)
+    @given(word=st.text(alphabet="EF", max_size=20))
+    def test_random_words_to_length_twenty(self, word):
+        assert triangular_word_matrix(word) == oracle_ef_matrix(word)
+
+    @pytest.mark.parametrize("seed", [20240901, 0, 987654321])
+    def test_residue_check_matches_oracle(self, seed):
+        assert residue_freeness_check(1000, 20, seed) == oracle_residue_check(1000, 20, seed)
 
 
 class TestRelationSearch:
