@@ -62,7 +62,6 @@ from .separation import (
     relation_search_ABC,
     residue_freeness_check,
     sesc_metric,
-    triangular_word_matrix,
 )
 from .geometry import (
     BoxCountEstimate,

@@ -115,12 +115,12 @@ def _emit(args: argparse.Namespace, config: dict, result: dict, csv_rows: list[d
 
 
 def _config(args: argparse.Namespace) -> dict:
-    """The config echo: the subcommand's own flags in declaration order, then the
-    common flags and the enumeration cap."""
-    skip = ("command", "handler", *_COMMON_FLAGS)
+    """The config echo: the subcommand's own flags in declaration order, then each run
+    setting (its flag, or its fixed value where the subcommand has none) and the cap."""
+    skip = ("command", "handler", *_RUN_SETTINGS)
     own = {name: value for name, value in vars(args).items() if name not in skip}
-    common = {name: getattr(args, name) for name in _COMMON_FLAGS}
-    return {**own, **common, "max_level": max_level()}
+    settings = {name: getattr(args, name, fixed) for name, fixed in _RUN_SETTINGS.items()}
+    return {**own, **settings, "max_level": max_level()}
 
 
 def _parse_subsystem(text: str, t: Fraction) -> SubsystemSpec:
@@ -180,7 +180,7 @@ def cmd_pressure(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
 def cmd_separation(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
     result: dict = {}
     if args.variant in ("sesc", "both"):
-        probes = _parse_fraction_list(args.probes) if args.probes else [separation.fixed_point_probe(args.t)]
+        probes = _parse_fraction_list(args.probes) if args.probes is not None else [separation.fixed_point_probe(args.t)]
         result["sesc"] = separation.sesc_metric(args.t, args.n, probes)
     if args.variant in ("diophantine", "both"):
         result["diophantine"] = plain = separation.diophantine_metric(args.t, args.n, strong=False)
@@ -210,15 +210,13 @@ def cmd_freeness(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
 def cmd_lemmas(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
     result: dict = {}
     if args.lemma in ("2", "all"):
-        result["lemma2"] = geometry.verify_lemma2(args.k, _positive_fraction(args.t))
+        result["lemma2"] = geometry.verify_lemma2(args.k, args.t)
     if args.lemma == "3":
         if not (args.v and args.w):
             raise UsageError("lemma 3 threshold search needs --v and --w (a consecutive chain pair)")
-        result["lemma3"] = geometry.lemma3_find_threshold(
-            args.v, args.w, _positive_fraction(args.t_max), _positive_fraction(args.resolution)
-        )
+        result["lemma3"] = geometry.lemma3_find_threshold(args.v, args.w, args.t_max, args.resolution)
     if args.lemma in ("4", "all"):
-        result["lemma4"] = geometry.verify_lemma4(args.k, _positive_fraction(args.t))
+        result["lemma4"] = geometry.verify_lemma4(args.k, args.t)
         result["lemma4_extremal_threshold"] = geometry.lemma4_extremal_threshold(args.k)
     if args.lemma == "cert":
         if not (grid := _parse_fraction_list(args.grid or "")):
@@ -273,8 +271,9 @@ def cmd_measure(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
     return result, csv_rows
 
 
-#: The dests of build_parser's common flags; ``_config`` echoes them after a subcommand's own.
-_COMMON_FLAGS = ("format", "out", "seed", "threads", "tol")
+#: The run settings ``_config`` echoes: each flag's default, and the fixed value where a subcommand
+#: has no such flag (``threads`` is always 1: every run is single-threaded).
+_RUN_SETTINGS = {"format": "json", "out": None, "seed": 0, "threads": 1, "tol": 1e-12}
 #: The subcommands whose handlers return no CSV rows; ``main`` rejects ``--format csv`` for them up front.
 _JSON_ONLY = ("separation", "freeness", "lemmas")
 
@@ -286,17 +285,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ifslab {__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=1, help="accepted and echoed in config, but ignored")
-    common.add_argument("--tol", type=float, default=1e-12)
-    needs_t = argparse.ArgumentParser(add_help=False)  # lemmas declares its own --t, echoed as typed
+    common.add_argument("--format", choices=("json", "csv"), default=_RUN_SETTINGS["format"])
+    common.add_argument("--out", default=_RUN_SETTINGS["out"], help="write output to this path instead of stdout")
+    needs_t = argparse.ArgumentParser(add_help=False)  # lemmas declares its own --t, with a default
     needs_t.add_argument("--t", type=_positive_fraction, required=True)
+    solves = argparse.ArgumentParser(add_help=False)  # the bisection tolerance of dim and measure
+    solves.add_argument("--tol", type=float, default=_RUN_SETTINGS["tol"])
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dim", parents=[common, needs_t], help="level dimensions and distortion brackets")
+    p = sub.add_parser("dim", parents=[common, needs_t, solves], help="level dimensions and distortion brackets")
     p.add_argument("--levels", default="1,2,4")
     p.add_argument("--subsystem", default=None, help="e.g. full:4 for the keep-a-3 subsystem report")
     p.set_defaults(handler=cmd_dim)
@@ -316,18 +314,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=5)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--max-len", type=int, default=20, dest="max_len")
+    p.add_argument("--seed", type=int, default=_RUN_SETTINGS["seed"])
     p.set_defaults(handler=cmd_freeness)
 
     p = sub.add_parser("lemmas", parents=[common], help="cylinder-geometry verdicts and certificates")
     p.add_argument("--lemma", choices=("2", "3", "4", "cert", "all"), default="all")
-    p.add_argument("--t", default="1")
+    p.add_argument("--t", type=_positive_fraction, default="1")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--n", type=int, default=3, help="level for --lemma cert")
     p.add_argument("--grid", default=None, help="comma list of rationals for --lemma cert")
     p.add_argument("--v", default=None)
     p.add_argument("--w", default=None)
-    p.add_argument("--t-max", default="64", dest="t_max")
-    p.add_argument("--resolution", default="1/64")
+    p.add_argument("--t-max", type=_positive_fraction, default="64", dest="t_max")
+    p.add_argument("--resolution", type=_positive_fraction, default="1/64")
     p.set_defaults(handler=cmd_lemmas)
 
     p = sub.add_parser("attractor", parents=[common, needs_t], help="box counting and common-disjoint search")
@@ -336,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--search-common", default=None, dest="search_common", help="n:t_lo:t_hi:resolution")
     p.set_defaults(handler=cmd_attractor)
 
-    p = sub.add_parser("measure", parents=[common, needs_t], help="cylinder-weight statistics at the origin")
+    p = sub.add_parser("measure", parents=[common, needs_t, solves], help="cylinder-weight statistics at the origin")
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--s", default="auto", help='exponent in (0,1], or "auto" for the level dimension')
     p.add_argument("--q", default="2,3", help="comma list of moment orders")

@@ -377,7 +377,7 @@ def box_counting(ifs: IFSInstance, levels: Sequence[int]) -> BoxCountEstimate:
         raise ValueError("need at least two levels to fit a slope")
     if min(levels) < 1:
         raise ValueError("levels must be >= 1")
-    check_level(max(levels))
+    check_level(max(levels), len(ifs.maps))  # the deepest walk, before the first
     scales: list[Fraction] = []
     counts: list[int] = []
     for n in levels:

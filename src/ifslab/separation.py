@@ -28,6 +28,8 @@ from .words import check_level, iter_compositions, iter_word_tree
 
 POINTWISE_ON_X = "POINTWISE_ON_X"
 MATRIX_ENTRY = "MATRIX_ENTRY"
+MAX_RESIDUE_SAMPLES = 100_000  # most random word pairs one residue check draws
+MAX_RESIDUE_WORD_LENGTH = 1_000  # longest random word a residue check draws
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,6 @@ def sesc_metric(t: RationalLike, n: int, probes: list[RationalLike]) -> Separati
     for x in xs:
         if not interval.contains(x):
             raise ValueError(f"probe {x} lies outside the invariant interval X = {interval}")
-    check_level(n)
     values = [tuple(map(MoebiusMap(m), xs)) for _, m in iter_compositions(family_matrices(t), n)]
     return _separation_report(t, n, POINTWISE_ON_X, values, xs).strong_form()
 
@@ -185,7 +186,6 @@ def diophantine_metric(t: RationalLike, n: int, strong: bool = True) -> Separati
     pairs with distinct matrices (exact coincidences are excluded and counted).
     """
     t = as_fraction(t)
-    check_level(n)
     entries = [matrix.entries() for _, matrix in iter_compositions(family_matrices(t), n)]
     report = _separation_report(t, n, MATRIX_ENTRY, entries)
     return report.strong_form() if strong else report
@@ -230,11 +230,6 @@ def _ef_product(word: str) -> tuple[int, int, int, int]:
     return a, b, c, d
 
 
-def triangular_word_matrix(word: str) -> Matrix2:
-    """Exact product of a word over {E, F} (left to right)."""
-    return Matrix2(*_ef_product(word))
-
-
 @dataclass(frozen=True)
 class ResidueCheck:
     """One random word pair (X, Y) over {E, F} and the mod-4 obstruction data."""
@@ -265,10 +260,10 @@ def residue_freeness_check(sample_count: int, max_len: int, seed: int) -> list[R
     ending in F; together with cancellation this certifies freeness of the
     {E, F} semigroup, hence of the first two family generators.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
+    if not 1 <= sample_count <= MAX_RESIDUE_SAMPLES:
+        raise ValueError(f"sample_count must be >= 1 and <= {MAX_RESIDUE_SAMPLES}, got {sample_count}")
+    if not 1 <= max_len <= MAX_RESIDUE_WORD_LENGTH:
+        raise ValueError(f"max_len must be >= 1 and <= {MAX_RESIDUE_WORD_LENGTH}, got {max_len}")
     rng = random.Random(seed)
     checks = []
     for _ in range(sample_count):

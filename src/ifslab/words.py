@@ -51,9 +51,12 @@ def max_level() -> int:
     return value
 
 
-def check_level(n: int) -> int:
+def check_level(n: int, width: int = 3) -> int:
+    """Refuse level n over the cap, or a walk to it over ``width`` maps of more than 3^cap words."""
     if n > max_level():
         raise ValueError(f"level {n} exceeds the enumeration cap {max_level()} (set IFSLAB_MAX_LEVEL to raise it)")
+    if width**n > 3 ** max_level():
+        raise ValueError(f"a level-{n} walk over {width} maps visits {width}^{n} words, over the cap 3^{max_level()}")
     return n
 
 
@@ -99,10 +102,10 @@ def lex_successor(v: str) -> str | None:
     return "1" * m + "2" + v[m + 1:]
 
 
-def word_matrix(u: str, generators: Sequence[Matrix2], alphabet: str = FAMILY_ALPHABET) -> Matrix2:
-    """Exact matrix of the composition addressed by u (left-to-right product)."""
-    index = {ch: i for i, ch in enumerate(alphabet)}
-    return reduce(Matrix2.__matmul__, (generators[index[ch]] for ch in u)) if u else Matrix2.identity()
+def word_matrix(u: str, generators: Sequence[Matrix2]) -> Matrix2:
+    """Exact matrix of the composition addressed by u (left to right); symbol k picks generator k - 1."""
+    by_label = {str(i + 1): g for i, g in enumerate(generators)}
+    return reduce(Matrix2.__matmul__, (by_label[ch] for ch in u)) if u else Matrix2.identity()
 
 
 def map_of_word(u: str, t: RationalLike) -> MoebiusMap:
@@ -130,7 +133,7 @@ def iter_word_tree(generators: Sequence[Matrix2], n: int) -> Iterator[tuple[int,
     """
     if n < 0:
         raise ValueError("word length must be >= 0")
-    check_level(n)
+    check_level(n, len(generators))
     children = [(str(i + 1), g) for i, g in enumerate(generators)][::-1]
     stack = [(0, "", Matrix2.identity())]
     while stack:

@@ -152,6 +152,13 @@ class TestUsageErrors:
         assert "--grid" in err
         assert out == ""
 
+    @pytest.mark.parametrize("probes", ["", ","])
+    def test_separation_rejects_an_empty_parsed_probe_set(self, capsys, probes):
+        code, out, err = run(capsys, "separation", "--t", "1", "--n", "2", "--variant", "sesc", "--probes", probes)
+        assert code == 2
+        assert "probe set must be nonempty" in err
+        assert out == ""
+
     def test_certificate_rejects_a_zero_grid_value(self, capsys):
         code, out, err = run(capsys, "lemmas", "--lemma", "cert", "--n", "3", "--grid", "0,1")
         assert code == 2
@@ -187,7 +194,12 @@ class TestRejectedBeforeWork:
 
     @pytest.mark.parametrize(
         "flags, message",
-        [(("--samples", "0"), "sample_count must be >= 1"), (("--max-len", "0"), "max_len must be >= 1")],
+        [
+            (("--samples", "0"), "sample_count must be >= 1"),
+            (("--samples", "100001"), "sample_count must be >= 1 and <= 100000, got 100001"),
+            (("--max-len", "0"), "max_len must be >= 1"),
+            (("--max-len", "1001"), "max_len must be >= 1 and <= 1000, got 1001"),
+        ],
     )
     def test_freeness_sampling_checked_before_the_searches(self, capsys, monkeypatch, flags, message):
         monkeypatch.setattr(cli.separation, "exact_overlap_search", must_not_run)
@@ -213,6 +225,19 @@ class TestRejectedBeforeWork:
         code, out, err = run(capsys, *command, "--t", "1", "--levels", levels)
         assert code == 2
         assert message in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "cap, spec, levels, words",
+        [("12", "full:4", "2,5", "65^5"), ("12", "tilde:12", "2,3", "4095^3"), ("4", "full:2", "2,3", "5^3")],
+    )
+    def test_subsystem_walk_width_checked_before_the_first_walk(self, capsys, monkeypatch, cap, spec, levels, words):
+        # Every level is within the cap; the deepest walk would visit more than 3^cap words.
+        monkeypatch.setenv("IFSLAB_MAX_LEVEL", cap)
+        monkeypatch.setattr(cli.geometry, "_level_cylinders", must_not_run)
+        code, out, err = run(capsys, "attractor", "--t", "1", "--subsystem", spec, "--levels", levels)
+        assert code == 2
+        assert f"visits {words} words, over the cap 3^" in err
         assert out == ""
 
     @pytest.mark.parametrize(
@@ -384,8 +409,6 @@ class TestNonFiniteInputs:
 COMMON_ECHO = {"format": "json", "out": None, "seed": 0, "threads": 1, "tol": 1e-12, "max_level": 12}
 
 # Each subcommand's cheap run (apart from --t) and the own flags its config must echo, in order.
-# LEMMAS_T marks where lemmas echoes --t as typed; every other subcommand echoes t in lowest terms.
-LEMMAS_T = object()
 CONFIG_CASES = {
     "dim": (("--levels", "1"), {"t": "1/2", "levels": "1", "subsystem": None}),
     "pressure": (("--levels", "1", "--s", "0.5"), {"t": "1/2", "levels": "1", "s": "0.5"}),
@@ -397,13 +420,24 @@ CONFIG_CASES = {
     "lemmas": (
         ("--lemma", "4", "--k", "1"),
         {
-            "lemma": "4", "t": LEMMAS_T, "k": 1, "n": 3, "grid": None,
+            "lemma": "4", "t": "1/2", "k": 1, "n": 3, "grid": None,
             "v": None, "w": None, "t_max": "64", "resolution": "1/64",
         },
     ),
     "attractor": (("--levels", "2,3"), {"t": "1/2", "levels": "2,3", "subsystem": None, "search_common": None}),
     "measure": (("--n", "2", "--s", "0.5"), {"t": "1/2", "n": 2, "s": "0.5", "q": "2,3"}),
 }
+
+
+# The run settings a subcommand declares a flag for, each with a value other than its default.
+DECLARED_SETTINGS = {"dim": {"tol": 1e-9}, "freeness": {"seed": 5}, "measure": {"tol": 1e-9}}
+# Every run-setting flag on each subcommand that does not declare it.
+UNDECLARED_SETTINGS = [
+    (command, name)
+    for command in CONFIG_CASES
+    for name in ("seed", "threads", "tol")
+    if name not in DECLARED_SETTINGS.get(command, {})
+]
 
 
 def flag_pairs(flags):
@@ -420,25 +454,32 @@ class TestConfigEcho:
     def test_exact_keys_order_and_values(self, capsys, command, t_text):
         flags, own = CONFIG_CASES[command]
         doc = run_json(capsys, command, "--t", t_text, *flags)
-        expected = {k: (t_text if v is LEMMAS_T else v) for k, v in own.items()}
-        assert list(doc["config"].items()) == list({**expected, **COMMON_ECHO}.items())
+        assert list(doc["config"].items()) == list({**own, **COMMON_ECHO}.items())
 
     @pytest.mark.parametrize("command", list(CONFIG_CASES))
     def test_echo_ignores_the_order_flags_are_typed(self, capsys, command):
         flags, own = CONFIG_CASES[command]
-        pairs = [("--t", "2/4"), *flag_pairs(flags), ("--seed", "5"), ("--threads", "3"), ("--tol", "1e-9")]
+        settings = DECLARED_SETTINGS.get(command, {})
+        pairs = [("--t", "2/4"), *flag_pairs(flags), *((f"--{name}", str(value)) for name, value in settings.items())]
         forward = run_json(capsys, command, *[x for pair in pairs for x in pair])["config"]
         backward = run_json(capsys, command, *[x for pair in reversed(pairs) for x in pair])["config"]
         assert json.dumps(forward) == json.dumps(backward)
         assert list(forward) == [*own, *COMMON_ECHO]
-        assert (forward["seed"], forward["threads"], forward["tol"]) == (5, 3, 1e-9)
+        assert {name: forward[name] for name in settings} == settings
 
-    def test_lemma_three_echoes_an_unparsed_t(self, capsys):
-        doc = run_json(
-            capsys, "lemmas", "--lemma", "3", "--t", "abc", "--v", "1", "--w", "2", "--t-max", "8", "--resolution", "1/32"
-        )
-        assert doc["config"]["t"] == "abc"
-        assert doc["config"]["t_max"] == "8" and doc["config"]["resolution"] == "1/32"
+    @pytest.mark.parametrize("command, name", UNDECLARED_SETTINGS)
+    def test_undeclared_setting_exits_two(self, capsys, command, name):
+        flags, _ = CONFIG_CASES[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--t", "1", *flags, f"--{name}", str(COMMON_ECHO[name])])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --{name}" in capsys.readouterr().err
+
+    def test_lemma_three_rejects_a_non_rational_t(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lemmas", "--lemma", "3", "--t", "abc", "--v", "1", "--w", "2"])
+        assert exc.value.code == 2
+        assert "argument --t: not a rational number: 'abc'" in capsys.readouterr().err
 
     def test_out_path_and_level_cap_echoed(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("IFSLAB_MAX_LEVEL", "5")

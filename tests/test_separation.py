@@ -22,12 +22,12 @@ from ifslab import (
     relation_search_ABC,
     residue_freeness_check,
     sesc_metric,
-    triangular_word_matrix,
 )
 from ifslab import separation
 from ifslab.cli import main
 from ifslab.separation import E_MATRIX, F_MATRIX, ResidueCheck
 from ifslab.words import iter_compositions, word_matrix
+from test_cli import must_not_run
 from test_traversal import _count_calls
 from test_word_sources import oracle_relation_search
 
@@ -282,9 +282,9 @@ class TestConjugacy:
 
 class TestResidues:
     def test_specific_products(self):
-        assert triangular_word_matrix("E") @ E_MATRIX == Matrix2(F(16), F(0), F(0), F(1))
-        assert triangular_word_matrix("F") @ F_MATRIX == Matrix2(F(16), F(0), F(5), F(1))
-        assert triangular_word_matrix("") @ E_MATRIX == E_MATRIX
+        assert integer_ef_matrix("E") @ E_MATRIX == Matrix2(F(16), F(0), F(0), F(1))
+        assert integer_ef_matrix("F") @ F_MATRIX == Matrix2(F(16), F(0), F(5), F(1))
+        assert integer_ef_matrix("") @ E_MATRIX == E_MATRIX
 
     def test_triangular_shape_exhaustive(self):
         # every product over {E, F} is [[4^k, 0], [m, 1]] with integer m
@@ -292,7 +292,7 @@ class TestResidues:
         for _ in range(6):
             words = [w + ch for w in words for ch in "EF"]
             for w in words:
-                m = triangular_word_matrix(w)
+                m = integer_ef_matrix(w)
                 assert m.b == 0 and m.d == 1
                 assert m.a == 4 ** len(w)
                 assert m.c.denominator == 1
@@ -309,15 +309,41 @@ class TestResidues:
         with pytest.raises(ValueError, match="sample_count"):
             residue_freeness_check(count, 10, seed=1)
 
+    @pytest.mark.parametrize(
+        "sample_count, max_len",
+        [(separation.MAX_RESIDUE_SAMPLES, 1), (1, separation.MAX_RESIDUE_WORD_LENGTH)],
+    )
+    def test_caps_admitted(self, sample_count, max_len):
+        checks = residue_freeness_check(sample_count, max_len, seed=5)
+        assert len(checks) == sample_count
+        assert all(c.ok for c in checks)
+
+    @pytest.mark.parametrize(
+        "sample_count, max_len, message",
+        [
+            (separation.MAX_RESIDUE_SAMPLES + 1, 1, "sample_count must be >= 1 and <= 100000"),
+            (1, separation.MAX_RESIDUE_WORD_LENGTH + 1, "max_len must be >= 1 and <= 1000"),
+        ],
+    )
+    def test_over_cap_rejected_before_sampling(self, monkeypatch, sample_count, max_len, message):
+        monkeypatch.setattr(separation, "_ef_product", must_not_run)
+        with pytest.raises(ValueError, match=message):
+            residue_freeness_check(sample_count, max_len, seed=5)
+
     def test_seed_reproducibility(self):
         first = residue_freeness_check(50, 10, seed=123)
         second = residue_freeness_check(50, 10, seed=123)
         assert [(c.x_word, c.y_word) for c in first] == [(c.x_word, c.y_word) for c in second]
 
 
+def integer_ef_matrix(word):
+    """The integer product the residue check builds for a word over {E, F}, as a Matrix2."""
+    return Matrix2(*separation._ef_product(word))
+
+
 def oracle_ef_matrix(word):
     """The Fraction product of a word over {E, F} that the residue check used to build."""
-    return word_matrix(word, (E_MATRIX, F_MATRIX), "EF")
+    return word_matrix(word.translate(str.maketrans("EF", "12")), (E_MATRIX, F_MATRIX))
 
 
 def oracle_residue_check(sample_count, max_len, seed):
@@ -343,12 +369,12 @@ class TestIntegerProductsMatchFractionOracle:
     def test_every_word_to_length_eight(self):
         for length in range(9):
             for word in map("".join, product("EF", repeat=length)):
-                assert triangular_word_matrix(word) == oracle_ef_matrix(word), word
+                assert integer_ef_matrix(word) == oracle_ef_matrix(word), word
 
     @settings(max_examples=200, deadline=None)
     @given(word=st.text(alphabet="EF", max_size=20))
     def test_random_words_to_length_twenty(self, word):
-        assert triangular_word_matrix(word) == oracle_ef_matrix(word)
+        assert integer_ef_matrix(word) == oracle_ef_matrix(word)
 
     @pytest.mark.parametrize("seed", [20240901, 0, 987654321])
     def test_residue_check_matches_oracle(self, seed):

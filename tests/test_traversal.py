@@ -188,6 +188,19 @@ class TestTraversal:
         with pytest.raises(ValueError, match="cap"):
             next(iter_word_tree(family_matrices(1), 4))
 
+    @pytest.mark.parametrize("width, n, admitted", [(9, 2, True), (10, 2, False), (2, 4, True), (3, 4, True)])
+    def test_word_budget_is_three_to_the_cap(self, monkeypatch, width, n, admitted):
+        # Cap 4: a walk may visit 3^4 = 81 words, so 9^2 passes and 10^2 does not, before any product.
+        monkeypatch.setenv("IFSLAB_MAX_LEVEL", "4")
+        calls = _count_calls(monkeypatch, Matrix2, "__matmul__")
+        walk = iter_word_tree([Matrix2.identity()] * width, n)
+        if admitted:
+            assert sum(1 for length, _, _ in walk if length == n) == width**n
+        else:
+            with pytest.raises(ValueError, match=f"visits {width}\\^{n} words, over the cap 3\\^4"):
+                next(walk)
+            assert calls == []
+
     @pytest.mark.parametrize("t", T_VALUES)
     def test_compositions_match_oracle(self, t):
         generators = family_matrices(t)
