@@ -25,7 +25,6 @@ from .moebius import (
     make_family,
 )
 from .words import (
-    FAMILY_ALPHABET,
     SubsystemSpec,
     SubsystemVariant,
     build_subsystem,

@@ -141,20 +141,18 @@ def cmd_dim(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
             raise UsageError("dimension reports cover full:<N> subsystems")
         check_level(2 * spec.level)  # the subsystem report also solves level 2N
     family = make_family(args.t)
-    rows = []
-    for n in levels:
-        level_dim, bracket = pressure.level_report(family, n, args.tol)
-        rows.append(
-            {
-                "level": n,
-                "d_n": level_dim.value,
-                "residual": level_dim.residual,
-                "bracket_lo": bracket.lower,
-                "bracket_hi": bracket.upper,
-                "C_emp": str(bracket.distortion),
-                "gamma2": str(family.gamma_upper),
-            }
-        )
+    rows = [
+        {
+            "level": level_dim.level,
+            "d_n": level_dim.value,
+            "residual": level_dim.residual,
+            "bracket_lo": bracket.lower,
+            "bracket_hi": bracket.upper,
+            "C_emp": str(bracket.distortion),
+            "gamma2": str(family.gamma_upper),
+        }
+        for level_dim, bracket in pressure.level_report(family, levels, args.tol)
+    ]
     result: dict = {"levels": rows}
     if spec:
         report = pressure.subsystem_dimension_report(args.t, spec.level, args.tol)
@@ -168,12 +166,8 @@ def cmd_dim(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
 
 
 def cmd_pressure(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
-    family = make_family(args.t)
-    exponent = float(args.s)
-    rows = []
-    for n in _parse_levels(args.levels):
-        estimate = pressure.pressure_estimate(family, n, exponent)
-        rows.append({"level": n, "s": exponent, "value": estimate.value})
+    estimates = pressure.pressure_estimate(make_family(args.t), _parse_levels(args.levels), float(args.s))
+    rows = [{"level": e.level, "s": e.exponent, "value": e.value} for e in estimates]
     return {"pressure": rows}, rows
 
 
@@ -234,8 +228,12 @@ def cmd_attractor(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
             raise UsageError("--search-common expects n:t_lo:t_hi:resolution") from exc
         search = int(level), (_positive_fraction(lo), _positive_fraction(hi)), _positive_fraction(res)
         geometry.common_disjoint_grid(*search)  # every range check before the box counting
-    ifs = build_subsystem(_parse_subsystem(args.subsystem, args.t)) if args.subsystem else make_family(args.t)
-    estimate = geometry.box_counting(ifs, _parse_int_list(args.levels))
+    levels = _parse_int_list(args.levels)
+    spec = _parse_subsystem(args.subsystem, args.t) if args.subsystem else None
+    if spec:
+        geometry.check_box_levels(levels, spec.size())  # the word budget, before the maps are built
+    ifs = build_subsystem(spec) if spec else make_family(args.t)
+    estimate = geometry.box_counting(ifs, levels)
     result: dict = {"box_counting": estimate}
     csv_rows = [
         {"epsilon": eps, "count": count}

@@ -30,7 +30,6 @@ from itertools import combinations, groupby, product
 from typing import Sequence
 
 from .moebius import (
-    FIXED_ZERO_MATRICES,
     IFSInstance,
     Interval,
     MoebiusMap,
@@ -39,11 +38,12 @@ from .moebius import (
     invariant_interval,
     make_family,
 )
-from .words import chain_sorted, check_level, cylinder, iter_word_tree, iter_words, lex_successor, tilde_prefixes
+from .words import chain_sorted, check_level, cylinder, iter_word_tree, iter_words, lex_successor, prefix_maps, tilde_prefixes
 
 MAX_GRID_POINTS = 10_000  # most parameter points a common-disjoint search may scan
 MAX_LEMMA2_K = 7  # longest lemma 2 words: 2^7 of them, 8,128 cylinder pairs
 LEMMA2_SAMPLES = 64  # lemma 2 checks each consecutive pair at this many grid points in (0, 2t/3]
+MAX_THRESHOLD_DOUBLINGS = 64  # lemma 3 searches t_max / resolution <= 2^64: at most 130 probes
 
 
 class OrderRelation(Enum):
@@ -65,23 +65,12 @@ def classify_intervals(first: Interval, second: Interval) -> OrderRelation:
     return OrderRelation.OTHER
 
 
-def _prefix_maps(prefixes: Sequence[str]) -> dict[str, MoebiusMap]:
-    """f_v for each v over {1,2} in ``prefixes``, in that order, from one walk of the {1,2} tree."""
-    wanted = set(prefixes)
-    found = {
-        v: MoebiusMap(matrix)
-        for _, v, matrix in iter_word_tree(FIXED_ZERO_MATRICES, max(map(len, prefixes)))
-        if v in wanted
-    }
-    return {v: found[v] for v in prefixes}
-
-
 def _v3_cylinders(maps: dict[str, MoebiusMap], t: Fraction) -> dict[str, Interval]:
     """cylinder(v + "3", t) for each f_v of ``maps``, in the same order.
 
     cylinder(v3, t) = f_v(f_3([0, 2t/3])) = f_v([t/2, 2t/3]).  This rests on
     f1 and f2 not depending on t: each f_v over {1,2} is built once, by
-    :func:`_prefix_maps`, and serves every parameter; only the third cylinder
+    :func:`prefix_maps`, and serves every parameter; only the third cylinder
     is made per t (through :func:`cylinder`, which rejects t <= 0).
     """
     third = cylinder("3", t)
@@ -112,7 +101,7 @@ def verify_lemma2(k: int, t: RationalLike) -> LemmaReport:
     interval = invariant_interval(t)
     grid = interval.grid(LEMMA2_SAMPLES)[1:]
     chain = chain_sorted(k)
-    maps = _prefix_maps(chain)
+    maps = prefix_maps(chain)
     cylinders = _v3_cylinders(maps, t)
 
     bad: list[str] = []
@@ -142,7 +131,7 @@ def verify_lemma4(k: int, t: RationalLike) -> LemmaReport:
     check_level(k + 1)
     t = as_fraction(t)
     long_words, short_words = list(iter_words("12", k + 1)), list(iter_words("12", k))
-    cyls = _v3_cylinders(_prefix_maps(long_words + short_words), t)
+    cyls = _v3_cylinders(prefix_maps(long_words + short_words), t)
     pairs = product(long_words, short_words)
     bad = tuple(f"({v}3, {w}3)" for v, w in pairs if classify_intervals(cyls[v], cyls[w]) is not OrderRelation.PREC)
     return LemmaReport(ok=not bad, pairs_checked=len(long_words) * len(short_words), points_checked=0, counterexamples=bad)
@@ -196,8 +185,10 @@ def lemma3_find_threshold(v: str, w: str, t_max: RationalLike, resolution: Ratio
     resolution = as_fraction(resolution)
     if resolution <= 0 or t_max <= 0:
         raise ValueError("t_max and resolution must be positive")
+    if t_max / resolution > 2**MAX_THRESHOLD_DOUBLINGS:
+        raise ValueError(f"t_max / resolution must be at most 2^{MAX_THRESHOLD_DOUBLINGS}")
     t = resolution
-    maps = _prefix_maps([v, w])
+    maps = prefix_maps([v, w])
 
     checked = 0
     best_t: Fraction | None = None
@@ -267,7 +258,7 @@ def nondegeneracy_certificate(n: int, t_grid: Sequence[RationalLike]) -> Nondege
         raise ValueError("level must be >= 2")
     grid = tuple(as_fraction(t) for t in t_grid)
     prefixes = tilde_prefixes(n)
-    maps = _prefix_maps(prefixes)
+    maps = prefix_maps(prefixes)
     cyls = {t: _v3_cylinders(maps, t) for t in grid}
     witnesses = []
     missing = []
@@ -329,7 +320,7 @@ def find_common_disjoint_parameter(
     resolution: RationalLike,
 ) -> CommonDisjointSearch:
     grid = common_disjoint_grid(n, t_range, resolution)
-    maps = _prefix_maps(tilde_prefixes(n))
+    maps = prefix_maps(tilde_prefixes(n))
 
     def violations_at(t: Fraction) -> list[tuple[str, str]]:
         cyls = _v3_cylinders(maps, t).items()
@@ -357,12 +348,22 @@ class BoxCountEstimate:
     stderr: float
 
 
-def _level_cylinders(ifs: IFSInstance, n: int) -> list[Interval]:
-    return [
-        MoebiusMap(matrix).image(ifs.interval)
-        for length, _, matrix in iter_word_tree([f.matrix for f in ifs.maps], n)
-        if length == n
-    ]
+def _level_cylinders(ifs: IFSInstance, levels: Sequence[int]) -> list[list[Interval]]:
+    """The level-n cylinders f_u(I), u in plain order, for each n of ``levels``, from one walk to the deepest."""
+    cylinders: dict[int, list[Interval]] = {n: [] for n in levels}
+    for length, _, matrix in iter_word_tree([f.matrix for f in ifs.maps], max(levels)):
+        if length in cylinders:
+            cylinders[length].append(MoebiusMap(matrix).image(ifs.interval))
+    return [cylinders[n] for n in levels]
+
+
+def check_box_levels(levels: Sequence[int], width: int) -> None:
+    """Reject a box-counting level list over ``width`` maps (ValueError) before any walk."""
+    if len(levels) < 2:
+        raise ValueError("need at least two levels to fit a slope")
+    if min(levels) < 1:
+        raise ValueError("levels must be >= 1")
+    check_level(max(levels), width)
 
 
 def box_counting(ifs: IFSInstance, levels: Sequence[int]) -> BoxCountEstimate:
@@ -373,15 +374,10 @@ def box_counting(ifs: IFSInstance, levels: Sequence[int]) -> BoxCountEstimate:
     exact rational arithmetic.  The cylinder union contains the attractor,
     so the fitted slope is an upper-biased estimate.
     """
-    if len(levels) < 2:
-        raise ValueError("need at least two levels to fit a slope")
-    if min(levels) < 1:
-        raise ValueError("levels must be >= 1")
-    check_level(max(levels), len(ifs.maps))  # the deepest walk, before the first
+    check_box_levels(levels, len(ifs.maps))
     scales: list[Fraction] = []
     counts: list[int] = []
-    for n in levels:
-        cylinders = _level_cylinders(ifs, n)
+    for cylinders in _level_cylinders(ifs, levels):
         eps = max(c.length() for c in cylinders)
         if eps == 0:
             raise ValueError("degenerate cylinders (zero length)")
@@ -436,7 +432,9 @@ class MeasureEstimate:
 
 
 def check_moment_orders(qs: Sequence[float]) -> None:
-    """Reject the first non-finite moment order in ``qs`` with ValueError."""
+    """Reject an empty ``qs`` or its first non-finite moment order with ValueError."""
+    if not qs:
+        raise ValueError("need at least one moment order")
     if bad := [q for q in qs if not math.isfinite(q)]:
         raise ValueError(f"moment order must be finite, got {bad[0]}")
 
@@ -452,7 +450,7 @@ def measure_stats(
     if not 0 < s <= 1:
         raise ValueError("exponent must lie in (0, 1]")
     check_moment_orders(qs)
-    cylinders = _level_cylinders(ifs, n)
+    [cylinders] = _level_cylinders(ifs, [n])
     raw = [float(c.length()) ** s for c in cylinders]
     total = math.fsum(raw)
     if total == 0:

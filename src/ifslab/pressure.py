@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 from .moebius import IFSInstance, MoebiusMap, RationalLike, as_fraction, make_family
 from .words import SubsystemSpec, SubsystemVariant, build_subsystem, iter_word_tree
@@ -34,36 +35,44 @@ def _log_fraction(q: Fraction) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
 
 
-def _norm_counter(ifs: IFSInstance, n: int, distortion: bool = False) -> tuple[dict[Fraction, int], Fraction]:
-    """One walk of the word tree to depth n.
+def _norm_counter(ifs: IFSInstance, levels: Sequence[int], distortion: bool = False) -> list[tuple[dict, Fraction]]:
+    """One walk of the word tree to the deepest of ``levels``.
 
-    Returns the multiset of exact sup-norms ||f_u'|| over the length-n words
-    u and, with ``distortion``, the max of sup|f_u'|/inf|f_u'| over all words
-    of length 1..n (else 1, and only the leaves are bounded).
+    Returns, for each n of ``levels`` in order, the multiset of exact
+    sup-norms ||f_u'|| over the length-n words u and, with ``distortion``,
+    the max of sup|f_u'|/inf|f_u'| over all words of length 1..n (else 1,
+    and only the words of the requested lengths are bounded).
     """
-    if n < 1:
+    if min(levels) < 1:
         raise ValueError("level must be >= 1")
-    interval = ifs.interval
-    counter: dict[Fraction, int] = {}
-    worst = Fraction(1)
-    for length, _, matrix in iter_word_tree([f.matrix for f in ifs.maps], n):
-        if length == n or (distortion and length):
-            inf, sup = MoebiusMap(matrix).derivative_bounds(interval)
+    counters: dict[int, dict[Fraction, int]] = {n: {} for n in levels}
+    ratios = [Fraction(1)] * (max(levels) + 1)  # ratios[k]: the largest sup/inf over the length-k words
+    for length, _, matrix in iter_word_tree([f.matrix for f in ifs.maps], max(levels)):
+        if length in counters or (distortion and length):
+            inf, sup = MoebiusMap(matrix).derivative_bounds(ifs.interval)
             if distortion:
-                worst = max(worst, sup / inf)
-            if length == n:
-                counter[sup] = counter.get(sup, 0) + 1
-    return counter, worst
+                ratios[length] = max(ratios[length], sup / inf)
+            if length in counters:
+                counters[length][sup] = counters[length].get(sup, 0) + 1
+    return [(counters[n], max(ratios[: n + 1])) for n in levels]
 
 
-def partition_sum(ifs: IFSInstance, n: int, s: float) -> float:
-    """S_n(s), with exact norms powered and accumulated in error-free summation."""
+def _power_sum(norms: Iterable[tuple[Fraction | float, int]], s: float) -> float:
+    """S_n(s) from one level's (norm, count) pairs: norms powered as floats, summed in error-free summation."""
+    return math.fsum(count * float(norm) ** s for norm, count in norms)
+
+
+def _partition_sums(ifs: IFSInstance, levels: Sequence[int], s: float) -> list[float]:
     if s < 0:
         raise ValueError("exponent must be >= 0")
     if not math.isfinite(s):
         raise ValueError(f"exponent must be finite, got {s}")
-    counter, _ = _norm_counter(ifs, n)
-    return math.fsum(count * float(norm) ** s for norm, count in counter.items())
+    return [_power_sum(counter.items(), s) for counter, _ in _norm_counter(ifs, levels)]
+
+
+def partition_sum(ifs: IFSInstance, n: int, s: float) -> float:
+    """S_n(s), with exact norms powered and accumulated in error-free summation."""
+    return _partition_sums(ifs, [n], s)[0]
 
 
 @dataclass(frozen=True)
@@ -75,8 +84,9 @@ class PressureEstimate:
     value: float
 
 
-def pressure_estimate(ifs: IFSInstance, n: int, s: float) -> PressureEstimate:
-    return PressureEstimate(level=n, exponent=s, value=math.log(partition_sum(ifs, n, s)) / n)
+def pressure_estimate(ifs: IFSInstance, levels: Sequence[int], s: float) -> list[PressureEstimate]:
+    """The estimate at each of ``levels``, in order, from one walk of the word tree."""
+    return [PressureEstimate(n, s, math.log(total) / n) for n, total in zip(levels, _partition_sums(ifs, levels, s))]
 
 
 @dataclass(frozen=True)
@@ -95,24 +105,23 @@ def solve_level_dimension(ifs: IFSInstance, n: int, tol: float = 1e-12) -> Level
     The bracket width is shrunk far enough below ``tol`` that the residual
     itself (not just the root) lands under ``tol``.
     """
-    return _solve(ifs, n, tol)[0]
+    return _solve_levels(ifs, [n], tol)[0][0]
 
 
-def _solve(ifs: IFSInstance, n: int, tol: float, distortion: bool = False) -> tuple[LevelDimension, Fraction]:
-    """Bisect S_n(s) = 1 on the norms of one walk; the walk's distortion maximum rides along."""
+def _solve_levels(ifs: IFSInstance, levels: Sequence[int], tol: float, distortion: bool = False) -> list[tuple]:
+    """(d_n, the level-n norm multiset, C_n) for each n of ``levels``, in order, from one walk after the checks."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if not math.isfinite(tol):
         raise ValueError(f"tolerance must be finite, got {tol}")
     if ifs.gamma_upper >= 1:
         raise ValueError("maps must be strict contractions")
-    counter, worst = _norm_counter(ifs, n, distortion)
-    word_count = sum(counter.values())
-    floats = [(float(norm), count) for norm, count in counter.items()]
+    return [(_solve(ifs, n, c, tol), c, ratio) for n, (c, ratio) in zip(levels, _norm_counter(ifs, levels, distortion))]
 
-    def sum_at(s: float) -> float:
-        return math.fsum(count * norm ** s for norm, count in floats)
 
+def _solve(ifs: IFSInstance, n: int, counter: dict[Fraction, int], tol: float) -> LevelDimension:
+    """Bisect S_n(s) = 1 on the level-n norm multiset ``counter``; no walk."""
+    floats = [(float(norm), count) for norm, count in counter.items()]  # converted once for every step
     m = len(ifs.maps)
     hi = math.log(m) / -_log_fraction(ifs.gamma_upper) if m > 1 else 0.0
     lo = 0.0
@@ -121,13 +130,13 @@ def _solve(ifs: IFSInstance, n: int, tol: float, distortion: bool = False) -> tu
     iterations = 0
     while hi - lo > width and iterations < MAX_BISECTION_STEPS:
         mid = (lo + hi) / 2
-        if sum_at(mid) >= 1.0:
+        if _power_sum(floats, mid) >= 1.0:
             lo = mid
         else:
             hi = mid
         iterations += 1
     root = (lo + hi) / 2
-    return LevelDimension(level=n, value=root, residual=abs(sum_at(root) - 1.0), word_count=word_count), worst
+    return LevelDimension(level=n, value=root, residual=abs(_power_sum(floats, root) - 1.0), word_count=sum(counter.values()))
 
 
 @dataclass(frozen=True)
@@ -146,7 +155,7 @@ class DistortionEstimate:
 def distortion_constant(ifs: IFSInstance, depth: int) -> DistortionEstimate:
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    return DistortionEstimate(depth=depth, value=_norm_counter(ifs, depth, distortion=True)[1])
+    return DistortionEstimate(depth=depth, value=_norm_counter(ifs, [depth], distortion=True)[0][1])
 
 
 @dataclass(frozen=True)
@@ -177,10 +186,10 @@ def dimension_bracket(ifs: IFSInstance, n: int, distortion: RationalLike, tol: f
     return _bracket(ifs, n, solve_level_dimension(ifs, n, tol).value, distortion)
 
 
-def level_report(ifs: IFSInstance, n: int, tol: float = 1e-12) -> tuple[LevelDimension, DimensionBracket]:
-    """d_n and its bracket with the depth-n empirical C, from one walk of the word tree."""
-    level, distortion = _solve(ifs, n, tol, distortion=True)
-    return level, _bracket(ifs, n, level.value, distortion)
+def level_report(ifs: IFSInstance, levels: Sequence[int], tol: float = 1e-12) -> list[tuple[LevelDimension, DimensionBracket]]:
+    """d_n and its bracket with the depth-n empirical C for each n of ``levels``, in order, from one walk."""
+    solved = _solve_levels(ifs, levels, tol, distortion=True)
+    return [(level, _bracket(ifs, level.level, level.value, ratio)) for level, _, ratio in solved]
 
 
 def _bracket(ifs: IFSInstance, n: int, d_n: float, distortion: Fraction) -> DimensionBracket:
@@ -227,25 +236,18 @@ def subsystem_dimension_report(
     level: int,
     tol: float = 1e-12,
 ) -> SubsystemDimensionReport:
+    """One family walk gives d_N and d_2N; one subsystem walk gives s1, its bracket and the mass at d_N."""
     t = as_fraction(t)
     family = make_family(t)
-    d_level = solve_level_dimension(family, level, tol)
-    d_doubled = solve_level_dimension(family, 2 * level, tol)
+    (d_level, _, _), (d_doubled, _, _) = _solve_levels(family, [level, 2 * level], tol)
     epsilon_proxy = abs(d_level.value - d_doubled.value)
 
     sub = build_subsystem(SubsystemSpec(t, level, SubsystemVariant.FULL))
-    s1, bracket = level_report(sub, 1, tol)
+    [(s1, counter, ratio)] = _solve_levels(sub, [1], tol, distortion=True)
+    bracket = _bracket(sub, 1, s1.value, ratio)
 
-    mass_at_d = partition_sum(sub, 1, d_level.value)
-    mass_floor = 1.0 - 2.0**level * 4.0 ** (-level * d_level.value)
-    mass_premise_holds = mass_at_d >= 0.5
-
+    mass_at_d = _power_sum(counter.items(), d_level.value)
     lower_bound = d_level.value - 1.0 / (2 * level)
-    lower_bound_holds = s1.value >= lower_bound - INTERVAL_SLACK
-    upper_bound_holds = s1.value <= d_level.value + INTERVAL_SLACK
-
-    error_bound = epsilon_proxy + 1.0 / (2 * level) + _log_fraction(bracket.distortion) / (level * math.log(4.0))
-
     return SubsystemDimensionReport(
         t=t,
         level=level,
@@ -254,12 +256,12 @@ def subsystem_dimension_report(
         epsilon_proxy=epsilon_proxy,
         s1=s1,
         lower_bound=lower_bound,
-        lower_bound_holds=lower_bound_holds,
-        upper_bound_holds=upper_bound_holds,
+        lower_bound_holds=s1.value >= lower_bound - INTERVAL_SLACK,
+        upper_bound_holds=s1.value <= d_level.value + INTERVAL_SLACK,
         mass_at_d=mass_at_d,
-        mass_floor=mass_floor,
-        mass_premise_holds=mass_premise_holds,
+        mass_floor=1.0 - 2.0**level * 4.0 ** (-level * d_level.value),
+        mass_premise_holds=mass_at_d >= 0.5,
         bracket=bracket,
-        error_bound=error_bound,
+        error_bound=epsilon_proxy + 1.0 / (2 * level) + _log_fraction(bracket.distortion) / (level * math.log(4.0)),
         subsystem_size=len(sub),
     )

@@ -23,6 +23,7 @@ from functools import reduce
 from typing import Iterator, Sequence
 
 from .moebius import (
+    FIXED_ZERO_MATRICES,
     IFSInstance,
     Interval,
     Matrix2,
@@ -33,7 +34,6 @@ from .moebius import (
     invariant_interval,
 )
 
-FAMILY_ALPHABET = "123"
 DEFAULT_MAX_LEVEL = 12
 
 
@@ -102,18 +102,13 @@ def lex_successor(v: str) -> str | None:
     return "1" * m + "2" + v[m + 1:]
 
 
-def word_matrix(u: str, generators: Sequence[Matrix2]) -> Matrix2:
-    """Exact matrix of the composition addressed by u (left to right); symbol k picks generator k - 1."""
-    by_label = {str(i + 1): g for i, g in enumerate(generators)}
-    return reduce(Matrix2.__matmul__, (by_label[ch] for ch in u)) if u else Matrix2.identity()
-
-
 def map_of_word(u: str, t: RationalLike) -> MoebiusMap:
-    """The composition f_{u1} o ... o f_{un} of the family at parameter t."""
+    """The composition f_{u1} o ... o f_{un} of the family at parameter t, multiplied from the first letter."""
     t = as_fraction(t)
     if t <= 0:
         raise ValueError(f"parameter must be positive, got {t}")
-    return MoebiusMap(word_matrix(u, family_matrices(t)))
+    by_label = dict(zip("123", family_matrices(t)))
+    return MoebiusMap(reduce(Matrix2.__matmul__, (by_label[ch] for ch in u)) if u else Matrix2.identity())
 
 
 def cylinder(u: str, t: RationalLike) -> Interval:
@@ -148,6 +143,14 @@ def iter_compositions(generators: Sequence[Matrix2], n: int) -> Iterator[tuple[s
     return ((word, matrix) for length, word, matrix in iter_word_tree(generators, n) if length == n)
 
 
+def prefix_maps(prefixes: Sequence[str]) -> dict[str, MoebiusMap]:
+    """f_v for each v over {1,2} in ``prefixes``, in that order, from one walk of the t-free {1,2} tree."""
+    wanted = set(prefixes)
+    walk = iter_word_tree(FIXED_ZERO_MATRICES, max(map(len, prefixes)))
+    found = {v: MoebiusMap(matrix) for _, v, matrix in walk if v in wanted}
+    return {v: found[v] for v in prefixes}
+
+
 class SubsystemVariant(Enum):
     """Which derived word set generates the subsystem.
 
@@ -172,16 +175,21 @@ class SubsystemSpec:
         if self.level < 1:
             raise ValueError(f"subsystem level must be >= 1, got {self.level}")
 
-    def words(self) -> list[str]:
+    def size(self) -> int:
+        """The number of subsystem maps (3^N - 2^N or 2^N - 1), once N is checked against the cap."""
         check_level(self.level)
-        if self.variant is SubsystemVariant.FULL:
-            return [u for u in iter_words(FAMILY_ALPHABET, self.level) if "3" in u]
-        return [v + "3" for v in tilde_prefixes(self.level)]
+        return 3**self.level - 2**self.level if self.variant is SubsystemVariant.FULL else 2**self.level - 1
 
 
 def build_subsystem(spec: SubsystemSpec) -> IFSInstance:
-    """Realize the subsystem words as an IFS on the family's invariant interval."""
-    words = spec.words()
+    """Realize the subsystem words as an IFS on the family's invariant interval, from one walk.
+
+    full:N keeps the length-N leaves that contain a 3, in plain order; tilde:N
+    follows each f_v of the t-free {1,2} walk to depth N - 1 by f_3.
+    """
     generators = family_matrices(spec.t)
-    maps = [MoebiusMap(word_matrix(u, generators)) for u in words]
-    return IFSInstance.build(maps, invariant_interval(spec.t), names=words)
+    if spec.variant is SubsystemVariant.FULL:
+        words = {u: matrix for u, matrix in iter_compositions(generators, spec.level) if "3" in u}
+    else:  # tilde_prefixes checks N against the cap
+        words = {v + "3": f.matrix @ generators[2] for v, f in prefix_maps(tilde_prefixes(spec.level)).items()}
+    return IFSInstance.build([MoebiusMap(m) for m in words.values()], invariant_interval(spec.t), names=list(words))

@@ -241,6 +241,46 @@ class TestRejectedBeforeWork:
         assert out == ""
 
     @pytest.mark.parametrize(
+        "spec, words", [("full:9", "19171^3"), ("full:11", "175099^3"), ("tilde:12", "4095^3")]
+    )
+    def test_subsystem_word_budget_checked_before_the_build(self, capsys, monkeypatch, spec, words):
+        monkeypatch.setenv("IFSLAB_MAX_LEVEL", "12")
+        monkeypatch.setattr(cli, "build_subsystem", must_not_run)
+        code, out, err = run(capsys, "attractor", "--t", "1", "--subsystem", spec, "--levels", "2,3")
+        assert code == 2
+        assert f"visits {words} words, over the cap 3^12" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "levels, message", [("3", "need at least two levels"), ("0,3", "levels must be >= 1"), ("2,13", "level 13 exceeds")]
+    )
+    def test_box_levels_checked_before_the_build(self, capsys, monkeypatch, levels, message):
+        monkeypatch.setattr(cli, "build_subsystem", must_not_run)
+        code, out, err = run(capsys, "attractor", "--t", "1", "--subsystem", "tilde:3", "--levels", levels)
+        assert code == 2
+        assert message in err
+        assert out == ""
+
+    @pytest.mark.parametrize("resolution", [f"1/{2**10000}", f"1/{2**64 + 1}"], ids=["2^10000", "2^64+1"])
+    def test_lemma3_ratio_checked_before_the_first_probe(self, capsys, monkeypatch, resolution):
+        monkeypatch.setattr(cli.geometry, "_pair_gap", must_not_run)
+        argv = ("lemmas", "--lemma", "3", "--v", "1", "--w", "2", "--t-max", "1", "--resolution", resolution)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "t_max / resolution must be at most 2^64" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("s", ["auto", "0.5"])
+    @pytest.mark.parametrize("q", [",", ""])
+    def test_empty_moment_orders_rejected(self, capsys, monkeypatch, s, q):
+        monkeypatch.setattr(cli.pressure, "solve_level_dimension", must_not_run)
+        monkeypatch.setattr(cli.geometry, "_level_cylinders", must_not_run)
+        code, out, err = run(capsys, "measure", "--t", "1", "--n", "3", "--s", s, "--q", q)
+        assert code == 2
+        assert "need at least one moment order" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
         "q, message", [("nan", "moment order must be finite, got nan"), ("2,x", "could not convert string to float")]
     )
     def test_moment_orders_checked_before_the_exponent_solve(self, capsys, monkeypatch, q, message):

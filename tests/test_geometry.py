@@ -30,7 +30,9 @@ from ifslab import (
     verify_lemma2,
     verify_lemma4,
 )
-from ifslab.geometry import LEMMA2_SAMPLES, MAX_LEMMA2_K
+from ifslab import geometry
+from ifslab.geometry import LEMMA2_SAMPLES, MAX_LEMMA2_K, MAX_THRESHOLD_DOUBLINGS
+from test_cli import must_not_run
 
 
 class TestOrderRelation:
@@ -127,6 +129,19 @@ class TestLemma3:
     def test_rejects_non_consecutive_pairs(self):
         with pytest.raises(ValueError):
             lemma3_find_threshold("11", "12", t_max=8)
+
+    def test_probe_count_at_the_cap(self):
+        # t_max / resolution = 2^64: about 64 doublings up to the split near 1/2, then 64 halvings at most.
+        result = lemma3_find_threshold("1", "2", t_max=1, resolution=F(1, 2**MAX_THRESHOLD_DOUBLINGS))
+        assert result.found
+        assert F(1, 2) < result.witness_t <= F(1, 2) + F(1, 2**MAX_THRESHOLD_DOUBLINGS)
+        assert result.checked <= 2 * MAX_THRESHOLD_DOUBLINGS + 2
+
+    @pytest.mark.parametrize("t_max, resolution", [(1, F(1, 2**64 + 1)), (2, F(1, 2**64)), (1, F(1, 2**10000))])
+    def test_over_the_cap_rejected_before_the_first_probe(self, monkeypatch, t_max, resolution):
+        monkeypatch.setattr(geometry, "_pair_gap", must_not_run)
+        with pytest.raises(ValueError, match=r"t_max / resolution must be at most 2\^64"):
+            lemma3_find_threshold("1", "2", t_max=t_max, resolution=resolution)
 
 
 class TestLemma4:

@@ -64,9 +64,10 @@ class TestPartitionSum:
             partition_sum(make_family(1), 1, s)
 
     def test_pressure_at_zero_is_log_alphabet(self):
-        fam = make_family(1)
-        for n in (1, 2, 4):
-            assert pressure_estimate(fam, n, 0.0).value == pytest.approx(math.log(3), abs=1e-14)
+        estimates = pressure_estimate(make_family(1), [1, 2, 4], 0.0)
+        assert [e.level for e in estimates] == [1, 2, 4]
+        for estimate in estimates:
+            assert estimate.value == pytest.approx(math.log(3), abs=1e-14)
 
 
 class TestLevelDimension:

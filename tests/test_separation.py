@@ -26,7 +26,7 @@ from ifslab import (
 from ifslab import separation
 from ifslab.cli import main
 from ifslab.separation import E_MATRIX, F_MATRIX, ResidueCheck
-from ifslab.words import iter_compositions, word_matrix
+from ifslab.words import iter_compositions
 from test_cli import must_not_run
 from test_traversal import _count_calls
 from test_word_sources import oracle_relation_search
@@ -343,7 +343,10 @@ def integer_ef_matrix(word):
 
 def oracle_ef_matrix(word):
     """The Fraction product of a word over {E, F} that the residue check used to build."""
-    return word_matrix(word.translate(str.maketrans("EF", "12")), (E_MATRIX, F_MATRIX))
+    result = Matrix2.identity()
+    for ch in word:
+        result = result @ (E_MATRIX if ch == "E" else F_MATRIX)
+    return result
 
 
 def oracle_residue_check(sample_count, max_len, seed):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from ifslab import (
     IFSInstance,
+    Interval,
     Matrix2,
     MoebiusMap,
     SubsystemSpec,
@@ -25,12 +26,13 @@ from ifslab import (
     family_matrices,
     iter_words,
     make_family,
+    map_of_word,
     solve_level_dimension,
     subsystem_dimension_report,
 )
 from ifslab.geometry import _level_cylinders
 from ifslab.pressure import _norm_counter, level_report
-from ifslab.words import iter_compositions, iter_word_tree, word_matrix
+from ifslab.words import iter_compositions, iter_word_tree
 
 T_VALUES = (F(1, 2), F(1), F(3), F(37, 53))
 
@@ -123,6 +125,9 @@ SYSTEMS = {
     "full:3": (build_subsystem(SubsystemSpec(1, 3, SubsystemVariant.FULL)), 2),
     "tilde:3": (build_subsystem(SubsystemSpec(1, 3, SubsystemVariant.TILDE)), 3),
     "two maps, names=None": (_two_maps_without_names(), 5),
+    # Decreasing, with sup/inf 25/4 over the length-1 words but 225/49 over the length-2 ones:
+    # the depth-n distortion is a maximum over all lengths 1..n, not over length n alone.
+    "one decreasing map": (IFSInstance.build([MoebiusMap.from_entries(F(2, 3), 1, 3, 2)], Interval(0, 1)), 4),
 }
 
 
@@ -145,7 +150,7 @@ class TestTraversal:
         words = sorted(w for k in range(7) for w in iter_words("123", k))  # depth-first order
         assert [(length, word) for length, word, _ in items] == [(len(w), w) for w in words]
         for _, word, matrix in items:
-            assert matrix == word_matrix(word, generators)
+            assert matrix == oracle_word_matrix(word, generators)
 
     def test_each_length_comes_out_in_plain_order(self):
         items = list(iter_word_tree(family_matrices(1), 4))
@@ -157,16 +162,17 @@ class TestTraversal:
         assert sum(1 for _ in iter_word_tree(family_matrices(1), 5)) == 1 + 3 + 9 + 27 + 81 + 243
         assert len(calls) == 3 + 9 + 27 + 81 + 243
 
-    def test_word_matrix_starts_from_the_first_letter(self, monkeypatch):
-        generators = family_matrices(F(37, 53))
+    def test_map_of_word_starts_from_the_first_letter(self, monkeypatch):
+        t = F(37, 53)
+        generators = family_matrices(t)
         calls = _count_calls(monkeypatch, Matrix2, "__matmul__")
         for word in ("1", "3", "21", "3123", "1232132"):
             expected = oracle_word_matrix(word, generators)
             calls.clear()
-            assert word_matrix(word, generators) == expected
+            assert map_of_word(word, t).matrix == expected
             assert len(calls) == len(word) - 1
         calls.clear()
-        assert word_matrix("", generators) == Matrix2.identity()
+        assert map_of_word("", t).matrix == Matrix2.identity()
         assert calls == []
 
     def test_streams_depth_first(self):
@@ -214,20 +220,29 @@ class TestConsumersMatchOracle:
         ifs, depth = SYSTEMS[name]
         for n in range(1, depth + 1):
             expected = list(oracle_norm_counter(ifs, n).items())
-            assert list(_norm_counter(ifs, n)[0].items()) == expected
-            assert list(_norm_counter(ifs, n, distortion=True)[0].items()) == expected
+            assert list(_norm_counter(ifs, [n])[0][0].items()) == expected
+            assert list(_norm_counter(ifs, [n], distortion=True)[0][0].items()) == expected
 
     def test_distortion_constant(self, name):
         ifs, depth = SYSTEMS[name]
         for n in range(1, depth + 1):
             expected = oracle_distortion(ifs, n)
             assert distortion_constant(ifs, n).value == expected
-            assert _norm_counter(ifs, n, distortion=True)[1] == expected
+            assert _norm_counter(ifs, [n], distortion=True)[0][1] == expected
 
     def test_level_cylinders(self, name):
         ifs, depth = SYSTEMS[name]
         for n in range(1, depth + 1):
-            assert _level_cylinders(ifs, n) == oracle_level_cylinders(ifs, n)
+            assert _level_cylinders(ifs, [n]) == [oracle_level_cylinders(ifs, n)]
+
+    def test_every_level_from_one_walk(self, name):
+        ifs, depth = SYSTEMS[name]
+        levels = [depth, 1, depth, *range(1, depth)]
+        norms = _norm_counter(ifs, levels, distortion=True)
+        assert [list(counter.items()) for counter, _ in norms] == [list(oracle_norm_counter(ifs, n).items()) for n in levels]
+        assert [ratio for _, ratio in norms] == [oracle_distortion(ifs, n) for n in levels]
+        assert [ratio for _, ratio in _norm_counter(ifs, levels)] == [1] * len(levels)
+        assert _level_cylinders(ifs, levels) == [oracle_level_cylinders(ifs, n) for n in levels]
 
 
 class TestOneWalkPerLevel:
@@ -236,7 +251,7 @@ class TestOneWalkPerLevel:
         fam = make_family(t)
         for n in (1, 2, 4):
             for tol in (1e-12, 1e-8):
-                level, bracket = level_report(fam, n, tol)
+                [(level, bracket)] = level_report(fam, [n], tol)
                 assert level == solve_level_dimension(fam, n, tol)
                 assert bracket == dimension_bracket(fam, n, distortion_constant(fam, n).value, tol)
 
@@ -244,14 +259,14 @@ class TestOneWalkPerLevel:
         fam = make_family(1)
         products = _count_calls(monkeypatch, Matrix2, "__matmul__")
         bounds = _count_calls(monkeypatch, MoebiusMap, "derivative_bounds")
-        level_report(fam, 4)
+        level_report(fam, [4])
         assert len(products) == 3 + 9 + 27 + 81
         assert len(bounds) == 3 + 9 + 27 + 81
 
     def test_one_determinant_per_word(self, monkeypatch):
         fam = make_family(1)
         dets = _count_calls(monkeypatch, Matrix2, "det")
-        level_report(fam, 6)
+        level_report(fam, [6])
         assert len(dets) == 3 + 9 + 27 + 81 + 243 + 729
 
     def test_leaf_walks_bound_only_the_leaves(self, monkeypatch):
@@ -285,10 +300,10 @@ def test_random_parameter_matches_oracle(t, n):
     fam = make_family(t)
     generators = family_matrices(t)
     assert list(iter_compositions(generators, n)) == list(oracle_compositions(generators, n))
-    assert list(_norm_counter(fam, n)[0].items()) == list(oracle_norm_counter(fam, n).items())
+    assert list(_norm_counter(fam, [n])[0][0].items()) == list(oracle_norm_counter(fam, n).items())
     assert distortion_constant(fam, n).value == oracle_distortion(fam, n)
-    assert _level_cylinders(fam, n) == oracle_level_cylinders(fam, n)
-    level, bracket = level_report(fam, n)
+    assert _level_cylinders(fam, [n]) == [oracle_level_cylinders(fam, n)]
+    [(level, bracket)] = level_report(fam, [n])
     assert level == solve_level_dimension(fam, n)
     assert bracket == dimension_bracket(fam, n, distortion_constant(fam, n).value)
     for _, _, matrix in iter_word_tree(generators, n):

@@ -33,7 +33,7 @@ from ifslab import (
     verify_lemma2,
     verify_lemma4,
 )
-from ifslab import geometry, separation
+from ifslab import geometry, separation, words
 from ifslab.geometry import (
     CommonDisjointSearch,
     LemmaReport,
@@ -43,13 +43,13 @@ from ifslab.geometry import (
     ParameterWindow,
     ThresholdWitness,
     WindowKind,
-    _prefix_maps,
+    prefix_maps,
     _v3_cylinders,
     classify_intervals,
 )
 from ifslab.moebius import IFSInstance, Interval
 from ifslab.separation import OverlapReport, _bucket_pairs
-from ifslab.words import FAMILY_ALPHABET, SubsystemSpec, SubsystemVariant, iter_compositions, tilde_prefixes
+from ifslab.words import SubsystemSpec, SubsystemVariant, build_subsystem, iter_compositions, tilde_prefixes
 from test_traversal import _count_calls
 
 T_VALUES = (F(1, 2), F(1), F(3), F(37, 53))
@@ -215,7 +215,7 @@ def oracle_overlap_search(maps, n, t=None):
     return OverlapReport(t=t, level=n, pairs=tuple(pairs), words_searched=searched)
 
 
-def oracle_relation_search(t, depth, alphabet=FAMILY_ALPHABET):
+def oracle_relation_search(t, depth, alphabet="123"):
     """The former relation search; ``separation.make_family`` supplies its system, as it does the new one's."""
     t = as_fraction(t)
     family = separation.make_family(t)
@@ -258,27 +258,27 @@ class TestCylinderSource:
     @pytest.mark.parametrize("t", T_VALUES)
     def test_equals_per_word_cylinders(self, t):
         prefixes = tilde_prefixes(6)
-        assert _v3_cylinders(_prefix_maps(prefixes), t) == {v: cylinder(v + "3", t) for v in prefixes}
+        assert _v3_cylinders(prefix_maps(prefixes), t) == {v: cylinder(v + "3", t) for v in prefixes}
 
     def test_maps_are_the_family_maps_at_every_parameter(self):
-        maps = _prefix_maps(tilde_prefixes(5))
+        maps = prefix_maps(tilde_prefixes(5))
         for t in T_VALUES:
             assert maps == {v: map_of_word(v, t) for v in tilde_prefixes(5)}
 
     def test_keeps_the_callers_order(self):
         order = ["21", "12", "", "2", "111"]
-        assert list(_prefix_maps(order)) == order
-        assert list(_v3_cylinders(_prefix_maps(order), F(3))) == order
+        assert list(prefix_maps(order)) == order
+        assert list(_v3_cylinders(prefix_maps(order), F(3))) == order
 
     def test_rejects_non_positive_parameters(self):
-        maps = _prefix_maps(["1", "2"])
+        maps = prefix_maps(["1", "2"])
         for t in (F(0), F(-1)):
             with pytest.raises(ValueError, match="positive"):
                 _v3_cylinders(maps, t)
 
     def test_tilde_prefixes_are_the_tilde_subsystem_words(self):
         for n in range(1, 6):
-            assert [v + "3" for v in tilde_prefixes(n)] == SubsystemSpec(1, n, SubsystemVariant.TILDE).words()
+            assert [v + "3" for v in tilde_prefixes(n)] == list(build_subsystem(SubsystemSpec(1, n, SubsystemVariant.TILDE)).names)
             assert tilde_prefixes(n) == _oracle_prefixes(n)
 
 
@@ -289,7 +289,7 @@ rationals = st.builds(F, st.integers(1, 400), st.integers(1, 151))
 @given(t=rationals)
 def test_random_parameter_source_matches_per_word_cylinders(t):
     prefixes = tilde_prefixes(6)  # every v over {1,2} up to length 5
-    cylinders = _v3_cylinders(_prefix_maps(prefixes), t)
+    cylinders = _v3_cylinders(prefix_maps(prefixes), t)
     for v in prefixes:
         assert cylinders[v] == cylinder(v + "3", t)
 
@@ -363,7 +363,7 @@ class TestLemma3Orientation:
         # must still be taken from v's cylinder to w's, never in tree order.
         assert lex_successor("21") == "12"
         for t in T_VALUES:
-            maps = _prefix_maps(["21", "12"])
+            maps = prefix_maps(["21", "12"])
             assert geometry._pair_gap(maps, "21", "12", t) == _oracle_gap("21", "12", t)
             assert geometry._pair_gap(maps, "21", "12", t) != _oracle_gap("12", "21", t)
         found = lemma3_find_threshold("21", "12", 64, F(1, 128))
@@ -464,7 +464,7 @@ class TestWorkCounts:
         assert len(calls) == 2
 
     def test_lemma3_builds_its_maps_once(self, monkeypatch):
-        walks = _count_calls(monkeypatch, geometry, "iter_word_tree")
+        walks = _count_calls(monkeypatch, words, "iter_word_tree")  # the t-free walk of words.prefix_maps
         calls = _count_calls(monkeypatch, geometry, "cylinder")
         found = lemma3_find_threshold("211", "121", 64, F(1, 128))
         assert len(walks) == 1

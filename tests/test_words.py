@@ -143,19 +143,21 @@ class TestCylinders:
 class TestSubsystems:
     def test_full_level_two_words(self):
         spec = SubsystemSpec(F(1), 2, SubsystemVariant.FULL)
-        assert spec.words() == ["13", "23", "31", "32", "33"]
+        assert build_subsystem(spec).names == ("13", "23", "31", "32", "33")
 
     def test_tilde_level_three_words(self):
         spec = SubsystemSpec(F(1), 3, SubsystemVariant.TILDE)
-        assert spec.words() == ["3", "13", "23", "113", "123", "213", "223"]
+        assert build_subsystem(spec).names == ("3", "13", "23", "113", "123", "213", "223")
 
     def test_full_level_one(self):
-        assert SubsystemSpec(F(1), 1, SubsystemVariant.FULL).words() == ["3"]
+        assert build_subsystem(SubsystemSpec(F(1), 1, SubsystemVariant.FULL)).names == ("3",)
 
     def test_counts(self):
         for n in range(1, 6):
-            assert len(SubsystemSpec(F(1), n, SubsystemVariant.FULL).words()) == 3**n - 2**n
-            assert len(SubsystemSpec(F(1), n, SubsystemVariant.TILDE).words()) == 2**n - 1
+            for variant, size in ((SubsystemVariant.FULL, 3**n - 2**n), (SubsystemVariant.TILDE, 2**n - 1)):
+                spec = SubsystemSpec(F(1), n, variant)
+                assert spec.size() == size
+                assert len(build_subsystem(spec).names) == size
 
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
@@ -173,7 +175,7 @@ class TestSubsystems:
         # any concatenation of keep-a-3 level-2 words splits into blocks v3
         # of length <= 3 plus a tail over {1,2} of length <= 1
         n = 2
-        alphabet = SubsystemSpec(F(1), n, SubsystemVariant.FULL).words()
+        alphabet = build_subsystem(SubsystemSpec(F(1), n, SubsystemVariant.FULL)).names
         stack = [""]
         for _ in range(2 * n):  # up to 4 blocks = length 4n
             stack = [w + a for w in stack for a in alphabet]
