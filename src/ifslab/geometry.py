@@ -35,6 +35,8 @@ from .moebius import (
     MoebiusMap,
     RationalLike,
     as_fraction,
+    int_endpoint_denominators,
+    integer_ends,
     invariant_interval,
     make_family,
 )
@@ -349,11 +351,22 @@ class BoxCountEstimate:
 
 
 def _level_cylinders(ifs: IFSInstance, levels: Sequence[int]) -> list[list[Interval]]:
-    """The level-n cylinders f_u(I), u in plain order, for each n of ``levels``, from one walk to the deepest."""
+    """The level-n cylinders f_u(I), u in plain order, for each n of ``levels``, from one walk to the deepest.
+
+    With I = [L/D, R/D], the walk's integer matrix (a, b, c, d) sends the
+    ends to (a*L + b*D)/(c*L + d*D) and (a*R + b*D)/(c*R + d*D): two
+    Fractions per cylinder, ordered by cross-multiplying the integers.
+    """
+    ends = integer_ends(ifs.interval)
+    left, right, den = ends
     cylinders: dict[int, list[Interval]] = {n: [] for n in levels}
     for length, _, matrix in iter_word_tree([f.matrix for f in ifs.maps], max(levels)):
         if length in cylinders:
-            cylinders[length].append(MoebiusMap(matrix).image(ifs.interval))
+            lo_den, hi_den = int_endpoint_denominators(matrix, ends)  # of one sign, so lo_den*hi_den > 0
+            a, b = matrix[0], matrix[1]
+            lo_num, hi_num = a * left + b * den, a * right + b * den
+            u, v = Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)
+            cylinders[length].append(Interval(u, v) if lo_num * hi_den <= hi_num * lo_den else Interval(v, u))
     return [cylinders[n] for n in levels]
 
 
@@ -451,7 +464,10 @@ def measure_stats(
         raise ValueError("exponent must lie in (0, 1]")
     check_moment_orders(qs)
     [cylinders] = _level_cylinders(ifs, [n])
-    raw = [float(c.length()) ** s for c in cylinders]
+    try:
+        raw = [float(c.length()) ** s for c in cylinders]
+    except OverflowError:
+        raise ValueError(f"a level-{n} cylinder length overflows a float") from None
     total = math.fsum(raw)
     if total == 0:
         raise ValueError("degenerate cylinders (zero length); weights undefined")
@@ -463,7 +479,7 @@ def measure_stats(
     if ball_raw > 0 and max_zero_len is not None and max_zero_len < 1:
         radius_log = math.log(max_zero_len.numerator) - math.log(max_zero_len.denominator)
         quotient = math.log(ball_raw / total) / radius_log
-    lq = {float(q): math.fsum((x / total) ** q for x in raw) for q in qs}
+    lq = {float(q): _moment_sum(raw, total, q) for q in qs}
     return MeasureEstimate(
         level=n,
         exponent=s,
@@ -475,6 +491,13 @@ def measure_stats(
         lq_sums=lq,
         weight_total=math.fsum(x / total for x in raw),
     )
+
+
+def _moment_sum(raw: list[float], total: float, q: float) -> float:
+    try:
+        return math.fsum((x / total) ** q for x in raw)
+    except OverflowError:
+        raise ValueError(f"the moment sum at q = {q} overflows a float") from None
 
 
 def natural_measure_stats(

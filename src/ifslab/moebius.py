@@ -6,6 +6,12 @@ overlap detection and cylinder comparisons are decidable with no rounding.
 Floating point enters the package only where irrational exponents force it
 (see :mod:`ifslab.pressure`).
 
+The word-tree walk multiplies plain integer 4-tuples ``(a, b, c, d)``
+instead: a rational matrix times a common denominator ``k``.  A Moebius map
+is projective (``k*M`` induces the map of ``M``), so values, derivative
+ratios and pole checks read off the integers directly, and
+:meth:`Matrix2.from_scaled` gives back the exact matrix.
+
 A matrix ``[[a, b], [c, d]]`` acts on the line as ``x -> (a*x + b)/(c*x + d)``
 with derivative ``det/(c*x + d)**2``.  Composition of maps corresponds to the
 matrix product in the same order.
@@ -19,6 +25,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
+IntMatrix = tuple[int, int, int, int]  # row-major integer entries (a, b, c, d)
 
 #: Default width of the rational enclosure returned for irrational fixed points.
 DEFAULT_ROOT_WIDTH = Fraction(1, 10**30)
@@ -61,6 +68,11 @@ class Matrix2:
     @classmethod
     def identity(cls) -> "Matrix2":
         return cls(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
+
+    @classmethod
+    def from_scaled(cls, entries: IntMatrix, scale: int) -> "Matrix2":
+        """The exact matrix whose ``scale`` multiple has the integer ``entries``."""
+        return cls(*(Fraction(x, scale) for x in entries))
 
     def det(self) -> Fraction:
         return self.a * self.d - self.b * self.c
@@ -232,6 +244,33 @@ class MoebiusMap:
     def __str__(self) -> str:
         m = self.matrix
         return f"x -> ({m.a}*x + {m.b})/({m.c}*x + {m.d})"
+
+
+def int_matmul(m: IntMatrix, g: IntMatrix) -> IntMatrix:
+    """The product m*g of two integer matrices."""
+    a, b, c, d = m
+    p, q, r, u = g
+    return (a * p + b * r, a * q + b * u, c * p + d * r, c * q + d * u)
+
+
+def integer_ends(interval: Interval) -> tuple[int, int, int]:
+    """(L, R, D): ``interval`` is [L/D, R/D] with D the least common denominator of its endpoints."""
+    den = math.lcm(interval.left.denominator, interval.right.denominator)
+    return int(interval.left * den), int(interval.right * den), den
+
+
+def int_endpoint_denominators(m: IntMatrix, ends: tuple[int, int, int]) -> tuple[int, int]:
+    """c*L + d*D and c*R + d*D for an integer matrix m and ``ends`` = :func:`integer_ends` of an interval.
+
+    These are c*x + d at both ends, times the positive D (and the matrix's
+    scale), so they share a sign unless the pole lies in the interval.
+    """
+    left, right, den = ends
+    c, d = m[2], m[3]
+    lo_den, hi_den = c * left + d * den, c * right + d * den
+    if lo_den == 0 or hi_den == 0 or (lo_den > 0) != (hi_den > 0):
+        raise PoleError(f"pole of the integer matrix {m} inside [{left}/{den}, {right}/{den}]")
+    return lo_den, hi_den
 
 
 def _sqrt_enclosure(q: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:

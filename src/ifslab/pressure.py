@@ -20,11 +20,12 @@ it explicitly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .moebius import IFSInstance, MoebiusMap, RationalLike, as_fraction, make_family
+from .moebius import IFSInstance, RationalLike, as_fraction, int_endpoint_denominators, integer_ends, make_family
 from .words import SubsystemSpec, SubsystemVariant, build_subsystem, iter_word_tree
 
 MAX_BISECTION_STEPS = 200  # most bisection steps of one level-dimension solve
@@ -42,19 +43,36 @@ def _norm_counter(ifs: IFSInstance, levels: Sequence[int], distortion: bool = Fa
     sup-norms ||f_u'|| over the length-n words u and, with ``distortion``,
     the max of sup|f_u'|/inf|f_u'| over all words of length 1..n (else 1,
     and only the words of the requested lengths are bounded).
+
+    Both are read from the walk's integer matrices (a, b, c, d).  With the
+    interval [L/D, R/D] and e = c*L + d*D, c*R + d*D at its two ends,
+    |f_u'| = |ad - bc| * D^2 / e^2 at each end.  Each sup|f_u'| is counted
+    as its lowest-terms integer pair, made a Fraction once per distinct
+    norm, and sup/inf = max(e^2)/min(e^2) is compared as an integer pair,
+    made a Fraction once per length.
     """
     if min(levels) < 1:
         raise ValueError("level must be >= 1")
-    counters: dict[int, dict[Fraction, int]] = {n: {} for n in levels}
-    ratios = [Fraction(1)] * (max(levels) + 1)  # ratios[k]: the largest sup/inf over the length-k words
+    ends = integer_ends(ifs.interval)
+    den_squared = ends[2] ** 2
+    counters: dict[int, dict[tuple[int, int], int]] = {n: {} for n in levels}
+    worst = [(1, 1)] * (max(levels) + 1)  # worst[k]: (max e^2, min e^2) of the largest sup/inf over the length-k words
     for length, _, matrix in iter_word_tree([f.matrix for f in ifs.maps], max(levels)):
         if length in counters or (distortion and length):
-            inf, sup = MoebiusMap(matrix).derivative_bounds(ifs.interval)
-            if distortion:
-                ratios[length] = max(ratios[length], sup / inf)
+            lo_den, hi_den = int_endpoint_denominators(matrix, ends)
+            lo_sq, hi_sq = lo_den * lo_den, hi_den * hi_den
+            small, big = (lo_sq, hi_sq) if lo_sq <= hi_sq else (hi_sq, lo_sq)
+            if distortion and big * worst[length][1] > worst[length][0] * small:
+                worst[length] = (big, small)
             if length in counters:
+                a, b, c, d = matrix
+                top = abs(a * d - b * c) * den_squared
+                g = math.gcd(top, small)
+                sup = (top // g, small // g)
                 counters[length][sup] = counters[length].get(sup, 0) + 1
-    return [(counters[n], max(ratios[: n + 1])) for n in levels]
+    norms = {n: {Fraction(*sup): count for sup, count in counter.items()} for n, counter in counters.items()}
+    ratios = [Fraction(big, small) for big, small in worst]
+    return [(norms[n], max(ratios[: n + 1])) for n in levels]
 
 
 def _power_sum(norms: Iterable[tuple[Fraction | float, int]], s: float) -> float:
@@ -62,17 +80,34 @@ def _power_sum(norms: Iterable[tuple[Fraction | float, int]], s: float) -> float
     return math.fsum(count * float(norm) ** s for norm, count in norms)
 
 
-def _partition_sums(ifs: IFSInstance, levels: Sequence[int], s: float) -> list[float]:
+def _check_exponent(s: float) -> None:
     if s < 0:
         raise ValueError("exponent must be >= 0")
     if not math.isfinite(s):
         raise ValueError(f"exponent must be finite, got {s}")
-    return [_power_sum(counter.items(), s) for counter, _ in _norm_counter(ifs, levels)]
 
 
 def partition_sum(ifs: IFSInstance, n: int, s: float) -> float:
     """S_n(s), with exact norms powered and accumulated in error-free summation."""
-    return _partition_sums(ifs, [n], s)[0]
+    _check_exponent(s)
+    [(counter, _)] = _norm_counter(ifs, [n])
+    return _power_sum(counter.items(), s)
+
+
+def _log_power_sum(counter: dict[Fraction, int], s: float) -> float:
+    """log S_n(s) from one level's norm multiset.
+
+    When the float sum is not a normal float (every power underflows at a
+    large s), it is summed in log space from the exact norms instead.
+    """
+    total = _power_sum(counter.items(), s)
+    if total >= sys.float_info.min:
+        return math.log(total)
+    logs = [math.log(count) + s * _log_fraction(norm) for norm, count in counter.items()]
+    top = max(logs)
+    if not math.isfinite(top):
+        raise ValueError(f"the log partition sum at s = {s} overflows a float")
+    return top + math.log(math.fsum(math.exp(x - top) for x in logs))
 
 
 @dataclass(frozen=True)
@@ -86,7 +121,8 @@ class PressureEstimate:
 
 def pressure_estimate(ifs: IFSInstance, levels: Sequence[int], s: float) -> list[PressureEstimate]:
     """The estimate at each of ``levels``, in order, from one walk of the word tree."""
-    return [PressureEstimate(n, s, math.log(total) / n) for n, total in zip(levels, _partition_sums(ifs, levels, s))]
+    _check_exponent(s)
+    return [PressureEstimate(n, s, _log_power_sum(counter, s) / n) for n, (counter, _) in zip(levels, _norm_counter(ifs, levels))]
 
 
 @dataclass(frozen=True)

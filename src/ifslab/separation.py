@@ -17,6 +17,7 @@ mod 4, so no word in E can equal a word in F.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -24,7 +25,7 @@ from itertools import combinations, groupby
 from operator import itemgetter
 
 from .moebius import Interval, Matrix2, MoebiusMap, RationalLike, as_fraction, family_matrices, invariant_interval, make_family
-from .words import check_level, iter_compositions, iter_word_tree
+from .words import check_level, iter_compositions, iter_word_tree, word_scale
 
 POINTWISE_ON_X = "POINTWISE_ON_X"
 MATRIX_ENTRY = "MATRIX_ENTRY"
@@ -61,11 +62,24 @@ def check_depth(n: int) -> int:
     return check_level(n)
 
 
-def _keys_by_length(generators: list[Matrix2], n: int) -> list[list[tuple[str, tuple]]]:
-    """(word, exact matrix entries) of every word, one list per length 1..n in plain order, from one walk."""
+def _matrix_key(matrix: tuple, scale: int) -> tuple:
+    """A key of the exact matrix ``matrix / scale``: its primitive integer tuple and the scalar in lowest terms."""
+    g = math.gcd(*matrix)
+    h = math.gcd(g, scale)
+    return (*(x // g for x in matrix), g // h, scale // h)
+
+
+def _keys_by_length(generators: list[Matrix2], n: int, across_lengths: bool = False) -> list[list[tuple[str, tuple]]]:
+    """(word, matrix key) of every word, one list per length 1..n in plain order, from one walk.
+
+    Two words of one length share the walk's scale s^length, so their
+    integer matrices are keys as they are.  ``across_lengths`` keys each
+    word by its exact matrix instead, equal for equal matrices of any lengths.
+    """
     levels: list[list[tuple[str, tuple]]] = [[] for _ in range(n + 1)]
+    s = word_scale(generators)
     for length, word, matrix in iter_word_tree(generators, n):
-        levels[length].append((word, matrix.entries()))
+        levels[length].append((word, _matrix_key(matrix, s**length) if across_lengths else matrix))
     return levels[1:]
 
 
@@ -113,7 +127,7 @@ class SeparationReport:
         return replace(self, strong=True)
 
 
-def _min_pair_distance(vectors: list[tuple]) -> tuple[Fraction, int]:
+def _min_pair_distance(vectors: list[tuple]) -> tuple[Fraction | int, int]:
     """(smallest nonzero sup-norm distance or 0, pairs at distance 0) over all pairs of vectors.
 
     A sort-and-sweep (Bentley & Shamos, STOC 1976): a run of r identical
@@ -146,12 +160,16 @@ def _min_pair_distance(vectors: list[tuple]) -> tuple[Fraction, int]:
     return best, zero_pairs
 
 
-def _separation_report(t: Fraction, n: int, variant: str, vectors: list[tuple], probes=None) -> SeparationReport:
-    """The plain report of the closest pair of distinct words' vectors."""
+def _separation_report(t: Fraction, n: int, variant: str, vectors: list[tuple], probes=None, scale: int = 1) -> SeparationReport:
+    """The plain report of the closest pair of distinct words' vectors, read as ``vector / scale``."""
     if len(vectors) < 2:
         raise ValueError("need at least two words to compare")
-    delta, zero_pairs = _min_pair_distance(vectors)
-    c_n = float(delta) ** (1.0 / n) if delta > 0 else 0.0
+    distance, zero_pairs = _min_pair_distance(vectors)
+    delta = Fraction(distance, scale)
+    try:
+        c_n = float(delta) ** (1.0 / n) if delta > 0 else 0.0
+    except OverflowError:
+        raise ValueError(f"the separation delta at level {n} overflows a float") from None
     compared = len(vectors) * (len(vectors) - 1) // 2
     return SeparationReport(t, n, variant, delta, c_n, False, compared, zero_pairs, probes)
 
@@ -170,7 +188,10 @@ def sesc_metric(t: RationalLike, n: int, probes: list[RationalLike]) -> Separati
     for x in xs:
         if not interval.contains(x):
             raise ValueError(f"probe {x} lies outside the invariant interval X = {interval}")
-    values = [tuple(map(MoebiusMap(m), xs)) for _, m in iter_compositions(family_matrices(t), n)]
+    points = [(x.numerator, x.denominator) for x in xs]
+    # (a*x + b)/(c*x + d) at x = p/q: the map's value, whatever the scale of its integer matrix.
+    walk = iter_compositions(family_matrices(t), n)
+    values = [tuple(Fraction(a * p + b * q, c * p + d * q) for p, q in points) for _, (a, b, c, d) in walk]
     return _separation_report(t, n, POINTWISE_ON_X, values, xs).strong_form()
 
 
@@ -186,8 +207,9 @@ def diophantine_metric(t: RationalLike, n: int, strong: bool = True) -> Separati
     pairs with distinct matrices (exact coincidences are excluded and counted).
     """
     t = as_fraction(t)
-    entries = [matrix.entries() for _, matrix in iter_compositions(family_matrices(t), n)]
-    report = _separation_report(t, n, MATRIX_ENTRY, entries)
+    generators = family_matrices(t)
+    entries = [matrix for _, matrix in iter_compositions(generators, n)]  # s^n times the entries: one scale
+    report = _separation_report(t, n, MATRIX_ENTRY, entries, scale=word_scale(generators) ** n)
     return report.strong_form() if strong else report
 
 
@@ -304,7 +326,7 @@ def relation_search_ABC(t: RationalLike, depth: int) -> OverlapReport:
         note, leaders = "third-symbol image overlaps the first two; pruning disabled", "123"
     else:
         note, leaders = "third-symbol image disjoint from the first two; leading 3 pruned", "12"
-    levels = _keys_by_length([f.matrix for f in family.maps], depth)
+    levels = _keys_by_length([f.matrix for f in family.maps], depth, across_lengths=True)
     leading = (item for level in levels for item in level if item[0][0] in leaders)
     pairs = _bucket_pairs(leading, restrict=lambda u, w: u[0] != w[0])
     return OverlapReport(t=t, level=depth, pairs=tuple(pairs), words_searched=sum(map(len, levels)), note=note)

@@ -15,6 +15,7 @@ Two orders appear:
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -25,12 +26,14 @@ from typing import Iterator, Sequence
 from .moebius import (
     FIXED_ZERO_MATRICES,
     IFSInstance,
+    IntMatrix,
     Interval,
     Matrix2,
     MoebiusMap,
     RationalLike,
     as_fraction,
     family_matrices,
+    int_matmul,
     invariant_interval,
 )
 
@@ -116,30 +119,42 @@ def cylinder(u: str, t: RationalLike) -> Interval:
     return map_of_word(u, t).image(invariant_interval(t))
 
 
-def iter_word_tree(generators: Sequence[Matrix2], n: int) -> Iterator[tuple[int, str, Matrix2]]:
-    """(length, word, matrix) for every word of length 0..n, depth first.
+def word_scale(generators: Sequence[Matrix2]) -> int:
+    """s: the least common denominator of every generator entry, so s*g is an integer matrix for each g.
 
-    Generator i is labelled ``str(i + 1)``.  Each word's matrix is its
-    parent's times one generator, so the walk makes one product per nonempty
-    word.  The words of each length come out in plain order (by generator
-    position), and only the pending siblings along the current path are
-    held, never a whole level.  Lengths come from the stack, not from
-    ``len(word)``: labels of ten or more generators have several characters.
+    For the family at t = p/q (in lowest terms) it is lcm(2, q).
+    """
+    return math.lcm(*(x.denominator for g in generators for x in g.entries()))
+
+
+def iter_word_tree(generators: Sequence[Matrix2], n: int) -> Iterator[tuple[int, str, IntMatrix]]:
+    """(length, word, s^length * M_word) for every word of length 0..n, depth first.
+
+    ``s`` is :func:`word_scale` of the generators, so each matrix is a plain
+    integer 4-tuple (a, b, c, d) and ``Matrix2.from_scaled(m, s**length)``
+    is the exact word matrix.  Generator i is labelled ``str(i + 1)``.  Each
+    word's matrix is its parent's times one scaled generator, so the walk
+    makes one integer product per nonempty word.  The words of each length
+    come out in plain order (by generator position), and only the pending
+    siblings along the current path are held, never a whole level.  Lengths
+    come from the stack, not from ``len(word)``: labels of ten or more
+    generators have several characters.
     """
     if n < 0:
         raise ValueError("word length must be >= 0")
     check_level(n, len(generators))
-    children = [(str(i + 1), g) for i, g in enumerate(generators)][::-1]
-    stack = [(0, "", Matrix2.identity())]
+    s = word_scale(generators)
+    children = [(str(i + 1), tuple(int(x * s) for x in g.entries())) for i, g in enumerate(generators)][::-1]
+    stack = [(0, "", (1, 0, 0, 1))]
     while stack:
         length, word, matrix = stack.pop()
         yield length, word, matrix
         if length < n:
-            stack.extend((length + 1, word + ch, matrix @ g) for ch, g in children)
+            stack.extend((length + 1, word + ch, int_matmul(matrix, g)) for ch, g in children)
 
 
-def iter_compositions(generators: Sequence[Matrix2], n: int) -> Iterator[tuple[str, Matrix2]]:
-    """(word, matrix) for every length-n word: the leaves of :func:`iter_word_tree`."""
+def iter_compositions(generators: Sequence[Matrix2], n: int) -> Iterator[tuple[str, IntMatrix]]:
+    """(word, s^n * M_word) for every length-n word: the leaves of :func:`iter_word_tree`."""
     return ((word, matrix) for length, word, matrix in iter_word_tree(generators, n) if length == n)
 
 
@@ -147,7 +162,8 @@ def prefix_maps(prefixes: Sequence[str]) -> dict[str, MoebiusMap]:
     """f_v for each v over {1,2} in ``prefixes``, in that order, from one walk of the t-free {1,2} tree."""
     wanted = set(prefixes)
     walk = iter_word_tree(FIXED_ZERO_MATRICES, max(map(len, prefixes)))
-    found = {v: MoebiusMap(matrix) for _, v, matrix in walk if v in wanted}
+    s = word_scale(FIXED_ZERO_MATRICES)
+    found = {v: MoebiusMap(Matrix2.from_scaled(matrix, s**length)) for length, v, matrix in walk if v in wanted}
     return {v: found[v] for v in prefixes}
 
 
@@ -189,7 +205,8 @@ def build_subsystem(spec: SubsystemSpec) -> IFSInstance:
     """
     generators = family_matrices(spec.t)
     if spec.variant is SubsystemVariant.FULL:
-        words = {u: matrix for u, matrix in iter_compositions(generators, spec.level) if "3" in u}
+        scale = word_scale(generators) ** spec.level
+        words = {u: Matrix2.from_scaled(m, scale) for u, m in iter_compositions(generators, spec.level) if "3" in u}
     else:  # tilde_prefixes checks N against the cap
         words = {v + "3": f.matrix @ generators[2] for v, f in prefix_maps(tilde_prefixes(spec.level)).items()}
     return IFSInstance.build([MoebiusMap(m) for m in words.values()], invariant_interval(spec.t), names=list(words))

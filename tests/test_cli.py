@@ -1,6 +1,7 @@
 """Command-line contract: subcommands, exit codes, determinism, formats."""
 
 import json
+import math
 
 import pytest
 
@@ -437,6 +438,27 @@ class TestNonFiniteInputs:
         assert code == 2
         assert "moment order must be finite" in err
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv, quantity",
+        [
+            (("measure", "--t", "1", "--n", "3", "--s", "0.5", "--q", "-400"), "the moment sum at q = -400.0 overflows a float"),
+            (("measure", "--t", "1e400", "--n", "2", "--s", "auto"), "a level-2 cylinder length overflows a float"),
+            (("separation", "--t", "1e400", "--n", "1", "--variant", "sesc"), "the separation delta at level 1 overflows a float"),
+            (("pressure", "--t", "1", "--levels", "1", "--s", "1.7e308"), "the log partition sum at s = 1.7e+308 overflows a float"),
+        ],
+    )
+    def test_float_overflow_exits_two(self, capsys, argv, quantity):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert quantity in err
+        assert out == ""
+
+    @pytest.mark.parametrize("s", ["1e6", "600", "1e300"])
+    def test_pressure_at_a_large_exponent_is_finite(self, capsys, s):
+        # Every float power 4^-s underflows; S_1(s) = 3 * 4^-s at t = 1, so the estimate is log 3 - s log 4.
+        [row] = run_json(capsys, "pressure", "--t", "1", "--levels", "1", "--s", s)["result"]["pressure"]
+        assert row["value"] == pytest.approx(math.log(3) - float(s) * math.log(4), rel=1e-15)
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_freeness_needs_a_sample(self, capsys, samples):

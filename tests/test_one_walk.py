@@ -38,7 +38,8 @@ from ifslab import geometry, pressure, words
 from ifslab.cli import main
 from ifslab.geometry import BoxCountEstimate, _least_squares_slope
 from ifslab.pressure import INTERVAL_SLACK, MAX_BISECTION_STEPS, _bracket, _log_fraction, level_report
-from ifslab.words import iter_word_tree, tilde_prefixes
+from fraction_walk import iter_word_tree
+from ifslab.words import tilde_prefixes
 from test_cli import must_not_run
 from test_traversal import _count_calls
 
@@ -228,7 +229,7 @@ def test_random_parameter_and_levels_match_oracle(t, levels, s):
 class TestOneWalkPerCall:
     def test_level_report(self, monkeypatch):
         walks = _count_calls(monkeypatch, pressure, "iter_word_tree")
-        products = _count_calls(monkeypatch, Matrix2, "__matmul__")
+        products = _count_calls(monkeypatch, words, "int_matmul")
         level_report(make_family(1), [1, 2, 4, 7])
         assert len(walks) == 1
         assert len(products) == sum(3**k for k in range(1, 8))
@@ -253,10 +254,12 @@ class TestOneWalkPerCall:
     @pytest.mark.parametrize("spec, products", [("full:8", 9840), ("tilde:6", 2 + 4 + 8 + 16 + 32 + 63)])
     def test_build_subsystem_products(self, monkeypatch, spec, products):
         kind, level = spec.split(":")
-        calls = _count_calls(monkeypatch, Matrix2, "__matmul__")
+        integer = _count_calls(monkeypatch, words, "int_matmul")
+        exact = _count_calls(monkeypatch, Matrix2, "__matmul__")
         walks = _count_calls(monkeypatch, words, "iter_word_tree")
         build_subsystem(SubsystemSpec(1, int(level), SubsystemVariant(kind)))
-        assert len(calls) == products  # per word from the first letter: 44,135 for full:8
+        assert len(integer) + len(exact) == products  # per word from the first letter: 44,135 for full:8
+        assert len(exact) == (2 ** int(level) - 1 if kind == "tilde" else 0)  # tilde:N: f_v times f_3 per kept word
         assert len(walks) == 1
 
     @pytest.mark.parametrize(

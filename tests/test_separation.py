@@ -26,7 +26,7 @@ from ifslab import (
 from ifslab import separation
 from ifslab.cli import main
 from ifslab.separation import E_MATRIX, F_MATRIX, ResidueCheck
-from ifslab.words import iter_compositions
+from fraction_walk import iter_compositions
 from test_cli import must_not_run
 from test_traversal import _count_calls
 from test_word_sources import oracle_relation_search

@@ -3,7 +3,9 @@
 The four recursions below are the hand-written walks the package used before
 it had one traversal (compositions, leaf norms, distortion and level
 cylinders).  They stay here as the oracle: every consumer of
-``iter_word_tree`` must reproduce them exactly, order included.
+``iter_word_tree`` must reproduce them exactly, order included.  The walk
+yields s^length times each word matrix as integers; ``exact`` turns its
+items back into ``Matrix2`` values for the comparison.
 """
 
 from fractions import Fraction as F
@@ -31,8 +33,11 @@ from ifslab import (
     subsystem_dimension_report,
 )
 from ifslab.geometry import _level_cylinders
+from ifslab import pressure
 from ifslab.pressure import _norm_counter, level_report
-from ifslab.words import iter_compositions, iter_word_tree
+from fraction_walk import iter_word_tree as fraction_word_tree
+from ifslab import words
+from ifslab.words import iter_compositions, iter_word_tree, word_scale
 
 T_VALUES = (F(1, 2), F(1), F(3), F(37, 53))
 
@@ -100,6 +105,16 @@ def oracle_level_cylinders(ifs, n):
     return out
 
 
+def exact(generators, items):
+    """(word, Matrix2) of each (length, word, integer matrix) item of ``iter_word_tree(generators, ...)``."""
+    s = word_scale(generators)
+    return [(word, Matrix2.from_scaled(matrix, s**length)) for length, word, matrix in items]
+
+
+def exact_compositions(generators, n):
+    return exact(generators, ((n, word, matrix) for word, matrix in iter_compositions(generators, n)))
+
+
 def oracle_derivative_bounds(f, interval):
     values = (abs(f.derivative(interval.left)), abs(f.derivative(interval.right)))
     return min(values), max(values)
@@ -149,7 +164,7 @@ class TestTraversal:
         items = list(iter_word_tree(generators, 6))
         words = sorted(w for k in range(7) for w in iter_words("123", k))  # depth-first order
         assert [(length, word) for length, word, _ in items] == [(len(w), w) for w in words]
-        for _, word, matrix in items:
+        for word, matrix in exact(generators, items):
             assert matrix == oracle_word_matrix(word, generators)
 
     def test_each_length_comes_out_in_plain_order(self):
@@ -158,7 +173,7 @@ class TestTraversal:
             assert [w for length, w, _ in items if length == k] == list(iter_words("123", k))
 
     def test_one_product_per_nonempty_word(self, monkeypatch):
-        calls = _count_calls(monkeypatch, Matrix2, "__matmul__")
+        calls = _count_calls(monkeypatch, words, "int_matmul")
         assert sum(1 for _ in iter_word_tree(family_matrices(1), 5)) == 1 + 3 + 9 + 27 + 81 + 243
         assert len(calls) == 3 + 9 + 27 + 81 + 243
 
@@ -198,7 +213,7 @@ class TestTraversal:
     def test_word_budget_is_three_to_the_cap(self, monkeypatch, width, n, admitted):
         # Cap 4: a walk may visit 3^4 = 81 words, so 9^2 passes and 10^2 does not, before any product.
         monkeypatch.setenv("IFSLAB_MAX_LEVEL", "4")
-        calls = _count_calls(monkeypatch, Matrix2, "__matmul__")
+        calls = _count_calls(monkeypatch, words, "int_matmul")
         walk = iter_word_tree([Matrix2.identity()] * width, n)
         if admitted:
             assert sum(1 for length, _, _ in walk if length == n) == width**n
@@ -211,7 +226,7 @@ class TestTraversal:
     def test_compositions_match_oracle(self, t):
         generators = family_matrices(t)
         for n in range(6):
-            assert list(iter_compositions(generators, n)) == list(oracle_compositions(generators, n))
+            assert exact_compositions(generators, n) == list(oracle_compositions(generators, n))
 
 
 @pytest.mark.parametrize("name", list(SYSTEMS))
@@ -257,21 +272,24 @@ class TestOneWalkPerLevel:
 
     def test_level_report_walks_the_tree_once(self, monkeypatch):
         fam = make_family(1)
-        products = _count_calls(monkeypatch, Matrix2, "__matmul__")
-        bounds = _count_calls(monkeypatch, MoebiusMap, "derivative_bounds")
+        products = _count_calls(monkeypatch, words, "int_matmul")
+        bounds = _count_calls(monkeypatch, pressure, "int_endpoint_denominators")
         level_report(fam, [4])
         assert len(products) == 3 + 9 + 27 + 81
         assert len(bounds) == 3 + 9 + 27 + 81
 
     def test_one_determinant_per_word(self, monkeypatch):
+        # The integer determinant is read inline with each word's bounds: one bound per word, no Fraction det.
         fam = make_family(1)
+        bounds = _count_calls(monkeypatch, pressure, "int_endpoint_denominators")
         dets = _count_calls(monkeypatch, Matrix2, "det")
         level_report(fam, [6])
-        assert len(dets) == 3 + 9 + 27 + 81 + 243 + 729
+        assert len(bounds) == 3 + 9 + 27 + 81 + 243 + 729
+        assert dets == []
 
     def test_leaf_walks_bound_only_the_leaves(self, monkeypatch):
         fam = make_family(1)
-        bounds = _count_calls(monkeypatch, MoebiusMap, "derivative_bounds")
+        bounds = _count_calls(monkeypatch, pressure, "int_endpoint_denominators")
         solve_level_dimension(fam, 4)
         assert len(bounds) == 81
 
@@ -286,7 +304,7 @@ class TestDerivativeBounds:
     @pytest.mark.parametrize("t", T_VALUES)
     def test_match_the_endpoint_derivatives(self, t):
         fam = make_family(t)
-        for _, _, matrix in iter_word_tree(family_matrices(t), 4):
+        for _, _, matrix in fraction_word_tree(family_matrices(t), 4):
             f = MoebiusMap(matrix)
             assert f.derivative_bounds(fam.interval) == oracle_derivative_bounds(f, fam.interval)
 
@@ -299,13 +317,13 @@ rationals = st.builds(F, st.integers(1, 200), st.integers(1, 97))
 def test_random_parameter_matches_oracle(t, n):
     fam = make_family(t)
     generators = family_matrices(t)
-    assert list(iter_compositions(generators, n)) == list(oracle_compositions(generators, n))
+    assert exact_compositions(generators, n) == list(oracle_compositions(generators, n))
     assert list(_norm_counter(fam, [n])[0][0].items()) == list(oracle_norm_counter(fam, n).items())
     assert distortion_constant(fam, n).value == oracle_distortion(fam, n)
     assert _level_cylinders(fam, [n]) == [oracle_level_cylinders(fam, n)]
     [(level, bracket)] = level_report(fam, [n])
     assert level == solve_level_dimension(fam, n)
     assert bracket == dimension_bracket(fam, n, distortion_constant(fam, n).value)
-    for _, _, matrix in iter_word_tree(generators, n):
+    for _, _, matrix in fraction_word_tree(generators, n):
         f = MoebiusMap(matrix)
         assert f.derivative_bounds(fam.interval) == oracle_derivative_bounds(f, fam.interval)

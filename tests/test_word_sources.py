@@ -49,7 +49,8 @@ from ifslab.geometry import (
 )
 from ifslab.moebius import IFSInstance, Interval
 from ifslab.separation import OverlapReport, _bucket_pairs
-from ifslab.words import SubsystemSpec, SubsystemVariant, build_subsystem, iter_compositions, tilde_prefixes
+from fraction_walk import iter_compositions
+from ifslab.words import SubsystemSpec, SubsystemVariant, build_subsystem, tilde_prefixes
 from test_traversal import _count_calls
 
 T_VALUES = (F(1, 2), F(1), F(3), F(37, 53))
@@ -435,20 +436,23 @@ class TestRelationSearchOneWalk:
 class TestWorkCounts:
     @pytest.mark.parametrize("n, grid", [(2, [F(1)]), (4, [F(1, 2), F(1), F(3)]), (5, [F(37, 53), F(9)])])
     def test_certificate_products(self, monkeypatch, n, grid):
-        products = _count_calls(monkeypatch, Matrix2, "__matmul__")
+        integer = _count_calls(monkeypatch, words, "int_matmul")
+        exact = _count_calls(monkeypatch, Matrix2, "__matmul__")
         nondegeneracy_certificate(n, grid)
-        assert len(products) <= 2**n - 2 + len(grid)
+        assert len(integer) + len(exact) <= 2**n - 2 + len(grid)
 
     def test_relation_search_products(self, monkeypatch):
-        products = _count_calls(monkeypatch, Matrix2, "__matmul__")
+        integer = _count_calls(monkeypatch, words, "int_matmul")
+        exact = _count_calls(monkeypatch, Matrix2, "__matmul__")
         relation_search_ABC(1, 6)
-        assert len(products) == 1092
+        assert (len(integer), len(exact)) == (1092, 0)
 
     def test_overlap_search_products(self, monkeypatch):
         maps = list(make_family(1).maps)
-        products = _count_calls(monkeypatch, Matrix2, "__matmul__")
+        integer = _count_calls(monkeypatch, words, "int_matmul")
+        exact = _count_calls(monkeypatch, Matrix2, "__matmul__")
         overlap_search_maps(maps, 5)
-        assert len(products) == 3 + 9 + 27 + 81 + 243
+        assert (len(integer), len(exact)) == (3 + 9 + 27 + 81 + 243, 0)
 
     def test_one_third_cylinder_per_parameter(self, monkeypatch):
         calls = _count_calls(monkeypatch, geometry, "cylinder")
