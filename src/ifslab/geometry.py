@@ -35,7 +35,7 @@ from .moebius import (
     MoebiusMap,
     RationalLike,
     as_fraction,
-    int_endpoint_denominators,
+    int_image,
     integer_ends,
     invariant_interval,
     make_family,
@@ -46,6 +46,7 @@ MAX_GRID_POINTS = 10_000  # most parameter points a common-disjoint search may s
 MAX_LEMMA2_K = 7  # longest lemma 2 words: 2^7 of them, 8,128 cylinder pairs
 LEMMA2_SAMPLES = 64  # lemma 2 checks each consecutive pair at this many grid points in (0, 2t/3]
 MAX_THRESHOLD_DOUBLINGS = 64  # lemma 3 searches t_max / resolution <= 2^64: at most 130 probes
+MAX_PAIR_CHECKS = 2**17  # most cylinder pair checks (word pairs times grid points) of a certificate or common search
 
 
 class OrderRelation(Enum):
@@ -234,6 +235,13 @@ class ParameterWindow:
     kind: WindowKind
 
 
+def _check_pair_budget(words: int, points: int) -> None:
+    """Refuse every pair of ``words`` cylinders at each of ``points`` parameters beyond MAX_PAIR_CHECKS (ValueError)."""
+    checks = math.comb(words, 2) * points
+    if checks > MAX_PAIR_CHECKS:
+        raise ValueError(f"{words} words at {points} grid points make {checks} pair checks; at most {MAX_PAIR_CHECKS} are allowed")
+
+
 @dataclass(frozen=True)
 class PairWitness:
     v: str
@@ -260,6 +268,7 @@ def nondegeneracy_certificate(n: int, t_grid: Sequence[RationalLike]) -> Nondege
         raise ValueError("level must be >= 2")
     grid = tuple(as_fraction(t) for t in t_grid)
     prefixes = tilde_prefixes(n)
+    _check_pair_budget(len(prefixes), len(grid))
     maps = prefix_maps(prefixes)
     cyls = {t: _v3_cylinders(maps, t) for t in grid}
     witnesses = []
@@ -313,6 +322,7 @@ def common_disjoint_grid(
     steps = math.ceil((hi - lo) / resolution)
     if steps >= MAX_GRID_POINTS:
         raise ValueError(f"the grid would have {steps + 1} points; at most {MAX_GRID_POINTS} are allowed")
+    _check_pair_budget(2**n - 1, steps + 1)
     return [min(lo + i * resolution, hi) for i in range(steps + 1)]
 
 
@@ -353,20 +363,13 @@ class BoxCountEstimate:
 def _level_cylinders(ifs: IFSInstance, levels: Sequence[int]) -> list[list[Interval]]:
     """The level-n cylinders f_u(I), u in plain order, for each n of ``levels``, from one walk to the deepest.
 
-    With I = [L/D, R/D], the walk's integer matrix (a, b, c, d) sends the
-    ends to (a*L + b*D)/(c*L + d*D) and (a*R + b*D)/(c*R + d*D): two
-    Fractions per cylinder, ordered by cross-multiplying the integers.
+    Each is :func:`int_image` of the walk's integer matrix at the integer ends of I.
     """
     ends = integer_ends(ifs.interval)
-    left, right, den = ends
     cylinders: dict[int, list[Interval]] = {n: [] for n in levels}
     for length, _, matrix in iter_word_tree([f.matrix for f in ifs.maps], max(levels)):
         if length in cylinders:
-            lo_den, hi_den = int_endpoint_denominators(matrix, ends)  # of one sign, so lo_den*hi_den > 0
-            a, b = matrix[0], matrix[1]
-            lo_num, hi_num = a * left + b * den, a * right + b * den
-            u, v = Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)
-            cylinders[length].append(Interval(u, v) if lo_num * hi_den <= hi_num * lo_den else Interval(v, u))
+            cylinders[length].append(int_image(matrix, ends))
     return [cylinders[n] for n in levels]
 
 

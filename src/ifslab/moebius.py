@@ -6,11 +6,12 @@ overlap detection and cylinder comparisons are decidable with no rounding.
 Floating point enters the package only where irrational exponents force it
 (see :mod:`ifslab.pressure`).
 
-The word-tree walk multiplies plain integer 4-tuples ``(a, b, c, d)``
-instead: a rational matrix times a common denominator ``k``.  A Moebius map
-is projective (``k*M`` induces the map of ``M``), so values, derivative
-ratios and pole checks read off the integers directly, and
-:meth:`Matrix2.from_scaled` gives back the exact matrix.
+Maps are evaluated on integer 4-tuples ``(a, b, c, d)``: a rational matrix
+times a common denominator ``k``.  A Moebius map is projective (``k*M``
+induces the map of ``M``), so the pole check, image, |f'| and value rules
+(the ``int_*`` functions) are written once, on integers, for the word-tree
+walk and :class:`MoebiusMap` alike; :meth:`Matrix2.from_scaled` gives back
+the exact matrix.
 
 A matrix ``[[a, b], [c, d]]`` acts on the line as ``x -> (a*x + b)/(c*x + d)``
 with derivative ``det/(c*x + d)**2``.  Composition of maps corresponds to the
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -165,13 +167,17 @@ class MoebiusMap:
         """The affine map ``x -> ratio*x + offset`` (ratio nonzero)."""
         return cls.from_entries(ratio, offset, 0, 1)
 
+    @cached_property
+    def integer(self) -> IntMatrix:
+        """The matrix times the least common denominator of its entries: the integer form the rules read."""
+        return integer_matrices([self.matrix])[1][0]
+
     def __call__(self, x: RationalLike) -> Fraction:
         x = as_fraction(x)
-        m = self.matrix
-        denom = m.c * x + m.d
-        if denom == 0:
-            raise PoleError(f"pole of {self} at x = {x}")
-        return (m.a * x + m.b) / denom
+        try:
+            return int_value(self.integer, x.numerator, x.denominator)
+        except PoleError:
+            raise PoleError(f"pole of {self} at x = {x}") from None
 
     def derivative(self, x: RationalLike) -> Fraction:
         x = as_fraction(x)
@@ -181,34 +187,20 @@ class MoebiusMap:
             raise PoleError(f"pole of {self} at x = {x}")
         return self.det / denom**2
 
-    def _endpoint_denominators(self, interval: Interval) -> tuple[Fraction, Fraction]:
-        """c*x + d at both ends of ``interval``; they share a sign unless the pole lies in it."""
-        m = self.matrix
-        lo_den = m.c * interval.left + m.d
-        hi_den = m.c * interval.right + m.d
-        if lo_den == 0 or hi_den == 0 or (lo_den > 0) != (hi_den > 0):
-            raise PoleError(f"pole of {self} inside {interval}")
-        return lo_den, hi_den
+    def _on_interval(self, rule, interval: Interval):
+        """``rule`` of the integer form and the integer ends of ``interval``, a pole reported in terms of this map."""
+        try:
+            return rule(self.integer, integer_ends(interval))
+        except PoleError:
+            raise PoleError(f"pole of {self} inside {interval}") from None
 
     def derivative_bounds(self, interval: Interval) -> tuple[Fraction, Fraction]:
-        """Exact (inf, sup) of |derivative| over ``interval``.
-
-        |f'| = |det|/(c*x+d)^2 is monotone wherever c*x+d keeps one sign, so
-        both bounds are attained at the endpoints.  A sign change means the
-        pole sits inside the interval and the bounds do not exist.
-        """
-        lo_den, hi_den = self._endpoint_denominators(interval)
-        det = abs(self.det)
-        values = (det / lo_den**2, det / hi_den**2)
-        return min(values), max(values)
+        """Exact (inf, sup) of |derivative| over ``interval`` (see :func:`int_derivative_bounds`)."""
+        return self._on_interval(int_derivative_bounds, interval)
 
     def image(self, interval: Interval) -> Interval:
-        """Exact image interval (the map is monotone off its pole)."""
-        lo_den, hi_den = self._endpoint_denominators(interval)
-        m = self.matrix
-        u = (m.a * interval.left + m.b) / lo_den
-        v = (m.a * interval.right + m.b) / hi_den
-        return Interval(min(u, v), max(u, v))
+        """Exact image interval (see :func:`int_image`)."""
+        return self._on_interval(int_image, interval)
 
     def fixed_points(self, width: Fraction = DEFAULT_ROOT_WIDTH) -> list[tuple[Fraction, Fraction]]:
         """Real fixed points as (lo, hi) rational enclosures, ascending.
@@ -246,6 +238,12 @@ class MoebiusMap:
         return f"x -> ({m.a}*x + {m.b})/({m.c}*x + {m.d})"
 
 
+def integer_matrices(matrices: Sequence[Matrix2]) -> tuple[int, list[IntMatrix]]:
+    """(s, [s*m for each m]): s is the least common denominator of every entry, so each s*m is an integer matrix."""
+    s = math.lcm(*(x.denominator for m in matrices for x in m.entries()))
+    return s, [tuple(x.numerator * (s // x.denominator) for x in m.entries()) for m in matrices]
+
+
 def int_matmul(m: IntMatrix, g: IntMatrix) -> IntMatrix:
     """The product m*g of two integer matrices."""
     a, b, c, d = m
@@ -271,6 +269,41 @@ def int_endpoint_denominators(m: IntMatrix, ends: tuple[int, int, int]) -> tuple
     if lo_den == 0 or hi_den == 0 or (lo_den > 0) != (hi_den > 0):
         raise PoleError(f"pole of the integer matrix {m} inside [{left}/{den}, {right}/{den}]")
     return lo_den, hi_den
+
+
+def int_image(m: IntMatrix, ends: tuple[int, int, int]) -> Interval:
+    """The image of ``ends`` = [L/D, R/D] under m: the map is monotone off its pole, so its ends are the images
+    (a*L + b*D)/(c*L + d*D) and (a*R + b*D)/(c*R + d*D), ordered by cross-multiplying integers."""
+    lo_den, hi_den = int_endpoint_denominators(m, ends)
+    left, right, den = ends
+    a, b = m[0], m[1]
+    lo_num, hi_num = a * left + b * den, a * right + b * den
+    u, v = Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)
+    return Interval(u, v) if lo_num * hi_den <= hi_num * lo_den else Interval(v, u)
+
+
+def int_abs_derivative(m: IntMatrix, den_squared: int, end_squared: int) -> tuple[int, int]:
+    """|f'| = |ad - bc| * D^2 / e^2 at an end X/D with e = c*X + d*D (see :func:`int_endpoint_denominators`),
+    as a lowest-terms integer pair.  The matrix's scale cancels: it enters det and e^2 squared."""
+    a, b, c, d = m
+    top = abs(a * d - b * c) * den_squared
+    g = math.gcd(top, end_squared)
+    return top // g, end_squared // g
+
+
+def int_derivative_bounds(m: IntMatrix, ends: tuple[int, int, int]) -> tuple[Fraction, Fraction]:
+    """Exact (inf, sup) of |f'| over ``ends`` = [L/D, R/D]: |f'| is monotone off the pole, so both sit at the ends."""
+    values = [Fraction(*int_abs_derivative(m, ends[2] ** 2, e * e)) for e in int_endpoint_denominators(m, ends)]
+    return min(values), max(values)
+
+
+def int_value(m: IntMatrix, p: int, q: int) -> Fraction:
+    """(a*p + b*q)/(c*p + d*q): the value at x = p/q of the map of the integer matrix m, at any scale."""
+    a, b, c, d = m
+    den = c * p + d * q
+    if den == 0:
+        raise PoleError(f"pole of the integer matrix {m} at x = {Fraction(p, q)}")
+    return Fraction(a * p + b * q, den)
 
 
 def _sqrt_enclosure(q: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:

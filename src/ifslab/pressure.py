@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .moebius import IFSInstance, RationalLike, as_fraction, int_endpoint_denominators, integer_ends, make_family
+from .moebius import IFSInstance, RationalLike, as_fraction, int_abs_derivative, int_endpoint_denominators, integer_ends, make_family
 from .words import SubsystemSpec, SubsystemVariant, build_subsystem, iter_word_tree
 
 MAX_BISECTION_STEPS = 200  # most bisection steps of one level-dimension solve
@@ -47,9 +47,10 @@ def _norm_counter(ifs: IFSInstance, levels: Sequence[int], distortion: bool = Fa
     Both are read from the walk's integer matrices (a, b, c, d).  With the
     interval [L/D, R/D] and e = c*L + d*D, c*R + d*D at its two ends,
     |f_u'| = |ad - bc| * D^2 / e^2 at each end.  Each sup|f_u'| is counted
-    as its lowest-terms integer pair, made a Fraction once per distinct
-    norm, and sup/inf = max(e^2)/min(e^2) is compared as an integer pair,
-    made a Fraction once per length.
+    as its lowest-terms integer pair (:func:`int_abs_derivative`, the one
+    determinant of a counted word), made a Fraction once per distinct norm,
+    and sup/inf = max(e^2)/min(e^2) is compared as an integer pair, made a
+    Fraction once per length.
     """
     if min(levels) < 1:
         raise ValueError("level must be >= 1")
@@ -58,18 +59,16 @@ def _norm_counter(ifs: IFSInstance, levels: Sequence[int], distortion: bool = Fa
     counters: dict[int, dict[tuple[int, int], int]] = {n: {} for n in levels}
     worst = [(1, 1)] * (max(levels) + 1)  # worst[k]: (max e^2, min e^2) of the largest sup/inf over the length-k words
     for length, _, matrix in iter_word_tree([f.matrix for f in ifs.maps], max(levels)):
-        if length in counters or (distortion and length):
+        counter = counters.get(length)
+        if counter is not None or (distortion and length):
             lo_den, hi_den = int_endpoint_denominators(matrix, ends)
             lo_sq, hi_sq = lo_den * lo_den, hi_den * hi_den
             small, big = (lo_sq, hi_sq) if lo_sq <= hi_sq else (hi_sq, lo_sq)
             if distortion and big * worst[length][1] > worst[length][0] * small:
                 worst[length] = (big, small)
-            if length in counters:
-                a, b, c, d = matrix
-                top = abs(a * d - b * c) * den_squared
-                g = math.gcd(top, small)
-                sup = (top // g, small // g)
-                counters[length][sup] = counters[length].get(sup, 0) + 1
+            if counter is not None:
+                sup = int_abs_derivative(matrix, den_squared, small)
+                counter[sup] = counter.get(sup, 0) + 1
     norms = {n: {Fraction(*sup): count for sup, count in counter.items()} for n, counter in counters.items()}
     ratios = [Fraction(big, small) for big, small in worst]
     return [(norms[n], max(ratios[: n + 1])) for n in levels]

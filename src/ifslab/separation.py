@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations, groupby
 from operator import itemgetter
 
-from .moebius import Interval, Matrix2, MoebiusMap, RationalLike, as_fraction, family_matrices, invariant_interval, make_family
+from .moebius import Interval, Matrix2, MoebiusMap, RationalLike, as_fraction, family_matrices, int_value, invariant_interval, make_family
 from .words import check_level, iter_compositions, iter_word_tree, word_scale
 
 POINTWISE_ON_X = "POINTWISE_ON_X"
@@ -189,9 +189,8 @@ def sesc_metric(t: RationalLike, n: int, probes: list[RationalLike]) -> Separati
         if not interval.contains(x):
             raise ValueError(f"probe {x} lies outside the invariant interval X = {interval}")
     points = [(x.numerator, x.denominator) for x in xs]
-    # (a*x + b)/(c*x + d) at x = p/q: the map's value, whatever the scale of its integer matrix.
     walk = iter_compositions(family_matrices(t), n)
-    values = [tuple(Fraction(a * p + b * q, c * p + d * q) for p, q in points) for _, (a, b, c, d) in walk]
+    values = [tuple(int_value(m, p, q) for p, q in points) for _, m in walk]
     return _separation_report(t, n, POINTWISE_ON_X, values, xs).strong_form()
 
 

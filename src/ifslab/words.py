@@ -15,7 +15,6 @@ Two orders appear:
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -34,6 +33,7 @@ from .moebius import (
     as_fraction,
     family_matrices,
     int_matmul,
+    integer_matrices,
     invariant_interval,
 )
 
@@ -106,12 +106,14 @@ def lex_successor(v: str) -> str | None:
 
 
 def map_of_word(u: str, t: RationalLike) -> MoebiusMap:
-    """The composition f_{u1} o ... o f_{un} of the family at parameter t, multiplied from the first letter."""
+    """The composition f_{u1} o ... o f_{un} of the family at parameter t, multiplied from the first letter on integers."""
     t = as_fraction(t)
     if t <= 0:
         raise ValueError(f"parameter must be positive, got {t}")
-    by_label = dict(zip("123", family_matrices(t)))
-    return MoebiusMap(reduce(Matrix2.__matmul__, (by_label[ch] for ch in u)) if u else Matrix2.identity())
+    scale, scaled = integer_matrices(family_matrices(t))
+    by_label = dict(zip("123", scaled))
+    product = reduce(int_matmul, (by_label[ch] for ch in u)) if u else (1, 0, 0, 1)
+    return MoebiusMap(Matrix2.from_scaled(product, scale ** len(u)))
 
 
 def cylinder(u: str, t: RationalLike) -> Interval:
@@ -124,7 +126,7 @@ def word_scale(generators: Sequence[Matrix2]) -> int:
 
     For the family at t = p/q (in lowest terms) it is lcm(2, q).
     """
-    return math.lcm(*(x.denominator for g in generators for x in g.entries()))
+    return integer_matrices(generators)[0]
 
 
 def iter_word_tree(generators: Sequence[Matrix2], n: int) -> Iterator[tuple[int, str, IntMatrix]]:
@@ -143,8 +145,7 @@ def iter_word_tree(generators: Sequence[Matrix2], n: int) -> Iterator[tuple[int,
     if n < 0:
         raise ValueError("word length must be >= 0")
     check_level(n, len(generators))
-    s = word_scale(generators)
-    children = [(str(i + 1), tuple(int(x * s) for x in g.entries())) for i, g in enumerate(generators)][::-1]
+    children = [(str(i + 1), g) for i, g in enumerate(integer_matrices(generators)[1])][::-1]
     stack = [(0, "", (1, 0, 0, 1))]
     while stack:
         length, word, matrix = stack.pop()

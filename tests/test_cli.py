@@ -253,6 +253,24 @@ class TestRejectedBeforeWork:
         assert out == ""
 
     @pytest.mark.parametrize(
+        "argv, checks",
+        [
+            (("lemmas", "--lemma", "cert", "--n", "12", "--grid", "1"), "4095 words at 1 grid points make 8382465"),
+            (("lemmas", "--lemma", "cert", "--n", "9", "--grid", "1,2"), "511 words at 2 grid points make 260610"),
+            (("attractor", "--t", "1", "--levels", "2,3", "--search-common", "9:1:2:1/4096"), "511 words at 4097 grid"),
+            (("attractor", "--t", "1", "--levels", "2,3", "--search-common", "5:1:2:1/512"), "31 words at 513 grid"),
+        ],
+    )
+    def test_pair_budget_checked_before_the_maps(self, capsys, monkeypatch, argv, checks):
+        monkeypatch.setenv("IFSLAB_MAX_LEVEL", "12")
+        monkeypatch.setattr(cli.geometry, "prefix_maps", must_not_run)
+        monkeypatch.setattr(cli.geometry, "box_counting", must_not_run)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert f"{checks}" in err and "pair checks; at most 131072 are allowed" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
         "levels, message", [("3", "need at least two levels"), ("0,3", "levels must be >= 1"), ("2,13", "level 13 exceeds")]
     )
     def test_box_levels_checked_before_the_build(self, capsys, monkeypatch, levels, message):

@@ -31,7 +31,7 @@ from ifslab import (
     verify_lemma4,
 )
 from ifslab import geometry
-from ifslab.geometry import LEMMA2_SAMPLES, MAX_LEMMA2_K, MAX_THRESHOLD_DOUBLINGS
+from ifslab.geometry import LEMMA2_SAMPLES, MAX_LEMMA2_K, MAX_PAIR_CHECKS, MAX_THRESHOLD_DOUBLINGS
 from test_cli import must_not_run
 
 
@@ -220,6 +220,32 @@ def quarter_cantor_pair():
         [MoebiusMap.affine(F(1, 4), 0), MoebiusMap.affine(F(1, 4), F(3, 4))],
         Interval(0, 1),
     )
+
+
+class Admitted(Exception):
+    """Raised in place of the maps: the pair budget let the request through."""
+
+
+class TestPairBudget:
+    @pytest.fixture(autouse=True)
+    def maps_admit(self, monkeypatch):
+        def admitted(*_args):
+            raise Admitted
+
+        monkeypatch.setattr(geometry, "prefix_maps", admitted)
+
+    def test_certificate_boundary(self):
+        assert math.comb(2**9 - 1, 2) <= MAX_PAIR_CHECKS < 2 * math.comb(2**9 - 1, 2)
+        with pytest.raises(Admitted):
+            nondegeneracy_certificate(9, [1])
+        with pytest.raises(ValueError, match="511 words at 2 grid points make 260610 pair checks"):
+            nondegeneracy_certificate(9, [1, 2])
+
+    def test_common_search_boundary(self):
+        with pytest.raises(Admitted):
+            find_common_disjoint_parameter(9, (1, 1), 1)
+        with pytest.raises(ValueError, match="511 words at 2 grid points make 260610 pair checks"):
+            find_common_disjoint_parameter(9, (1, 2), 1)
 
 
 class TestBoxCounting:

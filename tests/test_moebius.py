@@ -1,5 +1,6 @@
 """Exact matrix/map algebra: frozen oracle values and exhaustive identities."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -16,7 +17,15 @@ from ifslab import (
     family_matrices,
     make_family,
 )
-from ifslab.moebius import as_fraction
+from ifslab.moebius import (
+    as_fraction,
+    int_abs_derivative,
+    int_derivative_bounds,
+    int_endpoint_denominators,
+    int_image,
+    int_value,
+    integer_ends,
+)
 
 
 def mul_oracle(m, n):
@@ -176,12 +185,21 @@ class TestImage:
         assert f.image(Interval(1, 2)) == Interval(F(1, 2), 1)
 
 
+def value_oracle(f, x):
+    """The former value: (a*x + b)/(c*x + d) in Fractions, refused where c*x + d = 0."""
+    m = f.matrix
+    denom = m.c * x + m.d
+    if denom == 0:
+        raise PoleError(f"pole of {f} at x = {x}")
+    return (m.a * x + m.b) / denom
+
+
 def image_oracle(f, interval):
-    """The former image: find the pole -d/c, then evaluate both endpoints through ``__call__``."""
+    """The former image: find the pole -d/c, then evaluate both endpoints through :func:`value_oracle`."""
     m = f.matrix
     if m.c != 0 and interval.contains(-m.d / m.c):
         raise PoleError(f"pole of {f} inside {interval}")
-    u, v = f(interval.left), f(interval.right)
+    u, v = value_oracle(f, interval.left), value_oracle(f, interval.right)
     return Interval(min(u, v), max(u, v))
 
 
@@ -266,6 +284,51 @@ def test_image_and_bounds_match_oracle(entries, ends):
     interval = Interval(min(ends), max(ends))
     assert outcome(f.image, interval) == outcome(image_oracle, f, interval)
     assert outcome(f.derivative_bounds, interval) == outcome(bounds_oracle, f, interval)
+    for x in ends:
+        assert outcome(f, x) == outcome(value_oracle, f, x)
+
+
+def verdict(rule, *args):
+    """The rule's value, or PoleError itself: the integer rules word their pole errors in integers."""
+    try:
+        return rule(*args)
+    except PoleError:
+        return PoleError
+
+
+rational_entries = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    entries=st.tuples(rational_entries, rational_entries, rational_entries, rational_entries),
+    multiple=st.integers(-3, 3).filter(bool),
+    ends=st.tuples(points, points),
+    at_pole=st.booleans(),
+)
+def test_integer_rules_match_fraction_oracles(entries, multiple, ends, at_pole):
+    """Each integer rule, on any nonzero integer multiple of the matrix, against the test-side Fraction oracle."""
+    a, b, c, d = entries
+    assume(a * d != b * c)
+    f = MoebiusMap(Matrix2(*entries))
+    scale = math.lcm(*(x.denominator for x in entries)) * multiple
+    m = tuple(int(x * scale) for x in entries)
+    if at_pole and c != 0:  # put the pole -d/c at an end, so both sides must refuse
+        ends = (-d / c, ends[1])
+    interval = Interval(min(ends), max(ends))
+    integer = integer_ends(interval)
+    image = verdict(image_oracle, f, interval)
+    assert verdict(int_image, m, integer) == image
+    assert verdict(int_derivative_bounds, m, integer) == verdict(bounds_oracle, f, interval)
+    if image is PoleError:
+        assert verdict(int_endpoint_denominators, m, integer) is PoleError
+    else:
+        for x, e in zip((interval.left, interval.right), int_endpoint_denominators(m, integer)):
+            top, bottom = int_abs_derivative(m, integer[2] ** 2, e * e)
+            assert math.gcd(top, bottom) == 1
+            assert F(top, bottom) == abs(f.derivative(x))
+    for x in ends:
+        assert verdict(int_value, m, x.numerator, x.denominator) == verdict(value_oracle, f, x)
 
 
 class TestFixedPoints:

@@ -36,6 +36,7 @@ from ifslab.geometry import _level_cylinders
 from ifslab import pressure
 from ifslab.pressure import _norm_counter, level_report
 from fraction_walk import iter_word_tree as fraction_word_tree
+from test_moebius import image_oracle
 from ifslab import words
 from ifslab.words import iter_compositions, iter_word_tree, word_scale
 
@@ -62,7 +63,7 @@ def oracle_norm_counter(ifs, n):
 
     def walk(matrix, depth):
         if depth == n:
-            _, sup = MoebiusMap(matrix).derivative_bounds(ifs.interval)
+            _, sup = oracle_derivative_bounds(MoebiusMap(matrix), ifs.interval)
             counter[sup] = counter.get(sup, 0) + 1
             return
         for g in generators:
@@ -79,7 +80,7 @@ def oracle_distortion(ifs, depth):
     def walk(matrix, level):
         nonlocal best
         if level > 0:
-            inf, sup = MoebiusMap(matrix).derivative_bounds(ifs.interval)
+            inf, sup = oracle_derivative_bounds(MoebiusMap(matrix), ifs.interval)
             if sup / inf > best:
                 best = sup / inf
         if level < depth:
@@ -96,7 +97,7 @@ def oracle_level_cylinders(ifs, n):
 
     def walk(matrix, depth):
         if depth == n:
-            out.append(MoebiusMap(matrix).image(ifs.interval))
+            out.append(image_oracle(MoebiusMap(matrix), ifs.interval))
             return
         for g in generators:
             walk(matrix @ g, depth + 1)
@@ -180,15 +181,26 @@ class TestTraversal:
     def test_map_of_word_starts_from_the_first_letter(self, monkeypatch):
         t = F(37, 53)
         generators = family_matrices(t)
-        calls = _count_calls(monkeypatch, Matrix2, "__matmul__")
-        for word in ("1", "3", "21", "3123", "1232132"):
-            expected = oracle_word_matrix(word, generators)
-            calls.clear()
-            assert map_of_word(word, t).matrix == expected
-            assert len(calls) == len(word) - 1
-        calls.clear()
-        assert map_of_word("", t).matrix == Matrix2.identity()
-        assert calls == []
+        s = word_scale(generators)
+        scaled = {ch: tuple(int(x * s) for x in g.entries()) for ch, g in zip("123", generators)}
+        expected = {word: oracle_word_matrix(word, generators) for word in ("", "1", "3", "21", "3123", "1232132")}
+        products = []
+        original = words.int_matmul
+
+        def recording(m, g):
+            products.append((m, g))
+            return original(m, g)
+
+        monkeypatch.setattr(words, "int_matmul", recording)
+        exact = _count_calls(monkeypatch, Matrix2, "__matmul__")
+        for word, matrix in expected.items():
+            products.clear()
+            assert map_of_word(word, t).matrix == matrix
+            # One integer product per letter after the first, each the running product times that letter.
+            assert [g for _, g in products] == [scaled[ch] for ch in word[1:]]
+            assert [m for m, _ in products[:1]] == [scaled[ch] for ch in word[:1]][: len(products)]
+        assert expected[""] == Matrix2.identity()
+        assert exact == []
 
     def test_streams_depth_first(self):
         # A materialized level 12 would be 3^12 products; the first 13 items need 36.
@@ -274,24 +286,30 @@ class TestOneWalkPerLevel:
         fam = make_family(1)
         products = _count_calls(monkeypatch, words, "int_matmul")
         bounds = _count_calls(monkeypatch, pressure, "int_endpoint_denominators")
+        sups = _count_calls(monkeypatch, pressure, "int_abs_derivative")
         level_report(fam, [4])
         assert len(products) == 3 + 9 + 27 + 81
         assert len(bounds) == 3 + 9 + 27 + 81
+        assert len(sups) == 81
 
     def test_one_determinant_per_word(self, monkeypatch):
-        # The integer determinant is read inline with each word's bounds: one bound per word, no Fraction det.
+        # Every word of length 1..6 gets one pole check for the distortion ratio; only the counted
+        # words (lengths 2 and 6) get an integer determinant, through the one |f'| rule; no Fraction det.
         fam = make_family(1)
         bounds = _count_calls(monkeypatch, pressure, "int_endpoint_denominators")
+        sups = _count_calls(monkeypatch, pressure, "int_abs_derivative")
         dets = _count_calls(monkeypatch, Matrix2, "det")
-        level_report(fam, [6])
+        level_report(fam, [2, 6])
         assert len(bounds) == 3 + 9 + 27 + 81 + 243 + 729
+        assert len(sups) == 9 + 729
         assert dets == []
 
     def test_leaf_walks_bound_only_the_leaves(self, monkeypatch):
         fam = make_family(1)
         bounds = _count_calls(monkeypatch, pressure, "int_endpoint_denominators")
+        sups = _count_calls(monkeypatch, pressure, "int_abs_derivative")
         solve_level_dimension(fam, 4)
-        assert len(bounds) == 81
+        assert len(bounds) == len(sups) == 81
 
     def test_subsystem_report_uses_the_one_walk(self):
         report = subsystem_dimension_report(F(7, 5), 2)
